@@ -1,8 +1,8 @@
 """Golden-report matrix definitions shared by tests and the regen script.
 
-The golden suite locks the *science* of the sweep executor: for three
-fixed matrices (fig3-style, fig5-style, ablation-style) on a small fixed
-corpus, the canonical merged-report JSON must be byte-identical between
+The golden suite locks the *science* of the sweep executor: for four
+fixed matrices (fig3-style, fig5-style, ablation-style, and a refined-phase
+matrix) on a small fixed corpus, the canonical merged-report JSON must be byte-identical between
 serial execution, parallel execution, and the checked-in files under
 ``tests/golden/``.  Regenerate after an intentional numerics change with::
 
@@ -88,10 +88,34 @@ def ablation_matrix() -> list:
     )
 
 
+def refined_matrix() -> list:
+    """Refined-phase variants: every phase-2 classifier family on one
+    closed split, the pre-rank cut, and both open-world verifications."""
+    closed = AttackRequest(
+        corpus="golden",
+        world="closed",
+        split_seed=118,
+        n_landmarks=5,
+        ks=(1, 5, 10),
+    )
+    open_world = closed.variant(world="open", split_seed=129)
+    return [
+        closed.variant(classifier="smo"),
+        closed.variant(classifier="knn"),
+        closed.variant(classifier="centroid"),
+        closed.variant(classifier="smo", refined_keep_fraction=0.5),
+        open_world.variant(
+            verification="false_addition", false_addition_count=3
+        ),
+        open_world.variant(verification="mean"),
+    ]
+
+
 MATRICES = {
     "fig3_matrix": fig3_matrix,
     "fig5_matrix": fig5_matrix,
     "ablation_matrix": ablation_matrix,
+    "refined_matrix": refined_matrix,
 }
 
 
