@@ -163,17 +163,15 @@ class RefinedDeanonymizer:
         classes = list(candidates)
         decoys: list = []
         if self.false_addition_count:
-            pool = [
-                u
-                for u in self.auxiliary.users
-                if u not in set(candidates)
-            ]
+            candidate_set = set(candidates)
+            pool = [u for u in self.auxiliary.users if u not in candidate_set]
             n_decoys = min(self.false_addition_count, len(pool))
             if n_decoys:
                 decoys = [
                     pool[int(i)]
                     for i in self._rng.choice(len(pool), size=n_decoys, replace=False)
                 ]
+        decoy_set = set(decoys)
         train_users = classes + decoys
 
         blocks = []
@@ -190,7 +188,7 @@ class RefinedDeanonymizer:
         train_y = np.asarray(labels)
         if len(np.unique(train_y)) == 1:
             only = str(train_y[0])
-            winner = None if only in set(decoys) else only
+            winner = None if only in decoy_set else only
             return winner, {"reason": "single-candidate set", "scores": {only: 1.0}}
 
         scaler = StandardScaler().fit(train_X)
@@ -203,6 +201,6 @@ class RefinedDeanonymizer:
             class_totals[str(cls)] = float(scores[:, j].sum())
         winner = max(class_totals, key=class_totals.get)
         details = {"scores": class_totals, "decoys": decoys}
-        if winner in set(decoys):
+        if winner in decoy_set:
             return None, details
         return winner, details

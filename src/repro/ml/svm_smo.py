@@ -28,6 +28,18 @@ def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
+#: Second-multiplier indices drawn per ``Generator.integers`` call.
+_DRAW_BATCH = 256
+
+
+def _kernel_views(K: np.ndarray) -> tuple:
+    """``(rows, cols)`` of a kernel matrix for :meth:`SMOBinarySVM._smo`:
+    ``rows[i][j]`` is ``K[i, j]`` as a Python float, and ``cols[i]`` is
+    ``K[:, i]`` as a contiguous array (a row of a transposed copy)."""
+    K = np.asarray(K, dtype=float)
+    return K.tolist(), np.ascontiguousarray(K.T)
+
+
 class SMOBinarySVM:
     """Binary soft-margin SVM trained with simplified SMO.
 
@@ -89,15 +101,54 @@ class SMOBinarySVM:
         if not labels <= {-1.0, 1.0}:
             raise ConfigError(f"binary SVM labels must be ±1, got {sorted(labels)}")
         n = len(X)
-        rng = np.random.default_rng(self.seed)
         K = gram if gram is not None else self._kernel_matrix(X, X)
         if K.shape != (n, n):
             raise ConfigError(f"gram matrix shape {K.shape} does not match n={n}")
-        alpha = np.zeros(n)
+        return self._fit_kernel(X, y, _kernel_views(K))
+
+    def _fit_kernel(
+        self, X: np.ndarray, y: np.ndarray, views: tuple
+    ) -> "SMOBinarySVM":
+        """Run SMO on validated ``X``/``y`` with the :func:`_kernel_views`
+        of their kernel matrix, then keep only the support vectors."""
+        alpha, self.b_ = self._smo(views, y)
+        sv = alpha > 1e-8
+        self._X = X[sv]
+        self._y = y[sv]
+        self.alpha_ = alpha[sv]
+        return self
+
+    def _smo(self, views: tuple, y: np.ndarray) -> "tuple[np.ndarray, float]":
+        """The simplified-SMO loop; returns ``(alpha, b)``.
+
+        Every scalar is a Python float: ``y``, ``alpha`` and the error
+        cache are read from lists and ``K[i][j]`` from the kernel's row
+        lists, and the builtin ``min``/``max`` and ``np.clip`` are
+        conditional expressions with the same tie and NaN rules.  The IEEE
+        operations and their order must stay those of the numpy-scalar
+        loop kept as the oracle in ``tests/test_ml_svm.py``: for a float64
+        kernel the fit is bitwise the same.
+        """
+        rows, cols = views
+        n = len(rows)
+        C = float(self.C)
+        tol = self.tol
+        yl = y.tolist()
+        alpha = [0.0] * n
         b = 0.0
+        if n < 2:
+            # no second multiplier to pair with: the pair-free solution
+            return np.array(alpha), b
+        diag = [rows[k][k] for k in range(n)]
         # error cache: E[i] = f(x_i) - y_i, maintained incrementally so the
-        # inner loop never recomputes kernel expansions
-        E = -y.copy()
+        # inner loop never recomputes kernel expansions; ``El`` mirrors it
+        E = -y
+        El = E.tolist()
+        # second indices come in batches from the same stream: numpy's
+        # bounded draws of one size-B call equal B scalar calls
+        rng = np.random.default_rng(self.seed)
+        draws: list = []
+        d = 0
 
         passes = 0
         iters = 0
@@ -105,55 +156,63 @@ class SMOBinarySVM:
             changed = 0
             for i in range(n):
                 iters += 1
-                Ei = E[i]
-                if (y[i] * Ei < -self.tol and alpha[i] < self.C) or (
-                    y[i] * Ei > self.tol and alpha[i] > 0
+                Ei = El[i]
+                yi = yl[i]
+                ai_old = alpha[i]
+                if (yi * Ei < -tol and ai_old < C) or (
+                    yi * Ei > tol and ai_old > 0
                 ):
-                    j = int(rng.integers(0, n - 1))
+                    if d == len(draws):
+                        draws = rng.integers(0, n - 1, size=_DRAW_BATCH).tolist()
+                        d = 0
+                    j = draws[d]
+                    d += 1
                     if j >= i:
                         j += 1
-                    Ej = E[j]
-                    ai_old, aj_old = alpha[i], alpha[j]
-                    if y[i] != y[j]:
-                        low = max(0.0, aj_old - ai_old)
-                        high = min(self.C, self.C + aj_old - ai_old)
+                    Ej = El[j]
+                    yj = yl[j]
+                    aj_old = alpha[j]
+                    if yi != yj:
+                        low = aj_old - ai_old
+                        high = C + aj_old - ai_old
                     else:
-                        low = max(0.0, ai_old + aj_old - self.C)
-                        high = min(self.C, ai_old + aj_old)
+                        low = ai_old + aj_old - C
+                        high = ai_old + aj_old
+                    low = low if low > 0.0 else 0.0  # max(0.0, low)
+                    high = high if high < C else C  # min(C, high)
                     if low >= high:
                         continue
-                    eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+                    Kij = rows[i][j]
+                    Kii = diag[i]
+                    Kjj = diag[j]
+                    eta = 2.0 * Kij - Kii - Kjj
                     if eta >= 0:
                         continue
-                    aj = aj_old - y[j] * (Ei - Ej) / eta
-                    aj = float(np.clip(aj, low, high))
+                    aj = aj_old - yj * (Ei - Ej) / eta
+                    # np.clip(aj, low, high): keeps aj on ties, passes NaN
+                    aj = low if aj < low else aj
+                    aj = high if aj > high else aj
                     if abs(aj - aj_old) < 1e-5:
                         continue
-                    ai = ai_old + y[i] * y[j] * (aj_old - aj)
-                    alpha[i], alpha[j] = ai, aj
+                    ai = ai_old + yi * yj * (aj_old - aj)
+                    alpha[i] = ai
+                    alpha[j] = aj
                     dai = ai - ai_old
                     daj = aj - aj_old
-                    b1 = b - Ei - y[i] * dai * K[i, i] - y[j] * daj * K[i, j]
-                    b2 = b - Ej - y[i] * dai * K[i, j] - y[j] * daj * K[j, j]
-                    if 0 < ai < self.C:
+                    b1 = b - Ei - yi * dai * Kii - yj * daj * Kij
+                    b2 = b - Ej - yi * dai * Kij - yj * daj * Kjj
+                    if 0 < ai < C:
                         b_new = b1
-                    elif 0 < aj < self.C:
+                    elif 0 < aj < C:
                         b_new = b2
                     else:
                         b_new = (b1 + b2) / 2.0
-                    E += y[i] * dai * K[:, i] + y[j] * daj * K[:, j] + (b_new - b)
+                    E += yi * dai * cols[i] + yj * daj * cols[j] + (b_new - b)
+                    El = E.tolist()
                     b = b_new
                     changed += 1
             passes = passes + 1 if changed == 0 else 0
-
-        self.alpha_ = alpha
-        self.b_ = b
-        # keep only support vectors for prediction
-        sv = alpha > 1e-8
-        self._X = X[sv]
-        self._y = y[sv]
-        self.alpha_ = alpha[sv]
-        return self
+        return np.array(alpha), b
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "alpha_")
@@ -203,10 +262,10 @@ class SMOClassifier(OneVsRestClassifier):
         self._estimators = []
         if len(self.classes_) < 2:
             return self
-        gram = self.base._kernel_matrix(X, X)
+        views = _kernel_views(self.base._kernel_matrix(X, X))
         for cls in self.classes_:
             target = np.where(y == cls, 1.0, -1.0)
             est = self.base.clone()
-            est.fit(X, target, gram=gram)
+            est._fit_kernel(X, target, views)
             self._estimators.append(est)
         return self

@@ -1,10 +1,11 @@
 """Golden-report matrix definitions shared by tests and the regen script.
 
 The golden suite locks the *science* of the sweep executor: for four
-fixed matrices (fig3-style, fig5-style, ablation-style, and a refined-phase
-matrix) on a small fixed corpus, the canonical merged-report JSON must be byte-identical between
-serial execution, parallel execution, and the checked-in files under
-``tests/golden/``.  Regenerate after an intentional numerics change with::
+fixed matrices (fig3-style, fig5-style, ablation-style, refined-phase) on
+a small fixed corpus, the canonical merged-report JSON must be
+byte-identical between serial execution, parallel execution, and the
+checked-in files under ``tests/golden/``.  Regenerate after an intentional
+numerics change with::
 
     PYTHONPATH=src python tests/goldens.py --write
 
@@ -89,8 +90,9 @@ def ablation_matrix() -> list:
 
 
 def refined_matrix() -> list:
-    """Refined-phase variants: every phase-2 classifier family on one
-    closed split, the pre-rank cut, and both open-world verifications."""
+    """Refined-phase variants: the smo, knn and centroid classifiers on
+    one closed split, the pre-rank cut, and both open-world verifications
+    (false addition with three decoys, mean verification)."""
     closed = AttackRequest(
         corpus="golden",
         world="closed",
