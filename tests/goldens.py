@@ -1,8 +1,8 @@
 """Golden-report matrix definitions shared by tests and the regen script.
 
-The golden suite locks the *science* of the sweep executor: for four
-fixed matrices (fig3-style, fig5-style, ablation-style, refined-phase) on
-a small fixed corpus, the canonical merged-report JSON must be
+The golden suite locks the *science* of the sweep executor: for five
+fixed matrices (fig3-style, fig5-style, ablation-style, refined-phase,
+blocked-path) on a small fixed corpus, the canonical merged-report JSON must be
 byte-identical between serial execution, parallel execution, and the
 checked-in files under ``tests/golden/``.  Regenerate after an intentional
 numerics change with::
@@ -11,7 +11,7 @@ numerics change with::
 
 and review the diff like any other code change.  ``--check`` is the CI
 drift gate: a read-only comparison that exits non-zero on any mismatch,
-so dense-path regressions fail fast before the full suite runs::
+so scoring regressions fail fast before the full suite runs::
 
     PYTHONPATH=src python tests/goldens.py --check
 """
@@ -113,11 +113,39 @@ def refined_matrix() -> list:
     ]
 
 
+def blocking_matrix() -> list:
+    """Blocked-path variants on one closed split: ``degree_band`` once (it
+    reads no keep fraction); ``attr_index``, ``union``, ``lsh``,
+    ``ann_graph`` and ``lsh+degree_band`` at ``blocking_keep`` 0.5 and
+    0.1; and ``union`` with matching selection."""
+    base = AttackRequest(
+        corpus="golden",
+        world="closed",
+        split_seed=118,
+        n_landmarks=5,
+        top_k=5,
+        refined=False,
+        ks=(1, 5, 10),
+    )
+    return (
+        [base.variant(blocking="degree_band")]
+        + [
+            base.variant(blocking=policy, blocking_keep=keep)
+            for policy in (
+                "attr_index", "union", "lsh", "ann_graph", "lsh+degree_band"
+            )
+            for keep in (0.5, 0.1)
+        ]
+        + [base.variant(blocking="union", selection="matching")]
+    )
+
+
 MATRICES = {
     "fig3_matrix": fig3_matrix,
     "fig5_matrix": fig5_matrix,
     "ablation_matrix": ablation_matrix,
     "refined_matrix": refined_matrix,
+    "blocking_matrix": blocking_matrix,
 }
 
 

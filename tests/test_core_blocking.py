@@ -200,13 +200,18 @@ class TestDenseIdentity:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_masked_scores_match_dense_at_pairs(self, small_world, policy, keep):
         _, g1, g2 = small_world
-        dense = SimilarityComputer(g1, g2, n_landmarks=5).combined()
+        dense = SimilarityComputer(g1, g2, n_landmarks=5)
         computer = SimilarityComputer(
             g1, g2, n_landmarks=5, blocking=policy, blocking_keep=keep
         )
         scores = computer.combined_sparse()
         rows, cols = scores.mask.pair_arrays()
-        assert np.allclose(scores.values, dense[rows, cols])
+        assert np.allclose(scores.values, dense.combined()[rows, cols])
+        # s^a must be byte-identical, not just close
+        assert (
+            computer.attribute_pairs().tobytes()
+            == dense.attribute_similarity()[rows, cols].tobytes()
+        )
 
     @pytest.mark.parametrize("policy", ALL_POLICIES + ("lsh+degree_band",))
     def test_blocked_pipeline_runs_end_to_end(self, small_world, policy):

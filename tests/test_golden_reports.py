@@ -1,6 +1,6 @@
 """Golden-report regression suite: serial == parallel == checked-in golden.
 
-These tests pin the numbers of four representative sweep matrices so the
+These tests pin the numbers of five representative sweep matrices so the
 sharded executor (or any refactor underneath it) can never silently drift
 the science.  Comparison is on canonical report JSON — every field except
 the volatile ``elapsed_ms``/``reused_fit`` pair, byte-for-byte.  If a
