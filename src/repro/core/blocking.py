@@ -34,9 +34,13 @@ the masks of the parts are OR-ed, the recall-safe composition with the
 existing exact blockers.
 
 Every policy produces a :class:`CandidateMask` — a per-anonymized-user
-candidate column set stored as a boolean CSR matrix — which the sparse
-scoring path in :mod:`repro.core.similarity` evaluates pair-by-pair
-(:class:`SparseSimilarity`), never materializing an ``n1 × n2`` matrix.
+candidate column set stored as a boolean CSR matrix.  Candidate
+generation never builds an ``n1 × n2`` array.  The sparse scoring path in
+:mod:`repro.core.similarity` returns a :class:`SparseSimilarity` over the
+candidate pairs: it evaluates ``s^d`` and ``s^s`` pair by pair, but reads
+``s^a`` from one ``n1 × n2`` float64 attribute block per split, the block
+the dense path uses too, so the dense path and every policy of a session
+share one build.
 """
 
 from __future__ import annotations

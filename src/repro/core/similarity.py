@@ -17,12 +17,19 @@ The three components can be evaluated two ways:
   to a short series of sparse boolean matmuls.  This is the exact path and
   the default (``blocking="none"``).
 * **sparse / pair-level** — when a blocking policy
-  (:mod:`repro.core.blocking`) prunes the pair space, every component is
-  evaluated only at the surviving candidate pairs (pairwise min/max
-  ratios, chunked cosine over COO index pairs, and the weighted Jaccard
-  accumulated row-by-row against the auxiliary CSR weights), producing a
-  :class:`~repro.core.blocking.SparseSimilarity` instead of an
-  ``n1 × n2`` array.  Memory scales with the number of candidate pairs.
+  (:mod:`repro.core.blocking`) prunes the pair space, the result is a
+  :class:`~repro.core.blocking.SparseSimilarity` over the surviving
+  candidate pairs.  ``s^d`` and ``s^s`` are evaluated only at those pairs
+  (pairwise min/max ratios, chunked cosine over COO index pairs).
+  ``s^a`` is sampled at them from the dense attribute block, which is
+  built once per split and shared by the dense path and every policy.
+  That costs one ``n1 × n2`` float64 array per split and gives the same
+  bits as a per-pair evaluation.  A per-pair evaluation can be cheaper
+  for a lone attack under a very sparse mask; once a session scores the
+  dense path or a second policy, the shared block is.
+
+The landmark-closeness vectors behind ``s^s`` are likewise built once per
+split and cached, whichever path reads them.
 """
 
 from __future__ import annotations
@@ -41,18 +48,6 @@ from repro.graph.uda import UDAGraph
 #: Pair-chunk size for the chunked cosine kernels (bounds peak memory of
 #: the gathered row blocks at ``chunk × vector_width`` floats).
 _COSINE_CHUNK_PAIRS = 1 << 18
-
-#: Anonymized-row chunk for the gather-based pairwise attribute sweep.
-_ATTR_PAIR_CHUNK_ROWS = 256
-
-#: Mask density at which the pairwise attribute sweep switches from the
-#: per-pair gather (cost ∝ nonzeros under surviving pairs) to the chunked
-#: dense level-set kernel sampled at the mask (cost ∝ full pair space at
-#: BLAS speed, memory still one chunk).
-_ATTR_GATHER_MAX_DENSITY = 0.25
-
-#: Cell budget (rows × n2) per chunk of the blockwise attribute sweep.
-_ATTR_BLOCK_TARGET_CELLS = 1 << 22
 
 
 def _minmax_ratio_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,39 +133,33 @@ def _attribute_dense_block(
 ) -> np.ndarray:
     """Jaccard + weighted Jaccard of capped weight rows, as a dense block.
 
-    ``W1`` may be any row slice of the anonymized weights; the dense path
-    passes all rows at once, the blocked path one bounded chunk at a time.
-    The Σ min(w1, w2) numerator uses the level-set decomposition with the
-    per-level products accumulated as sparse matrices and densified once —
-    one ``(rows × n2)`` materialization instead of up to ``cap``.  Every
-    level contributes exact small integers, so the sparse accumulation is
-    bit-identical to summing dense levels.
+    The whole ``n1 × n2`` block of one split: the dense path reads it as
+    ``s^a`` and the blocked path samples it at the candidate pairs.  The
+    Σ min(w1, w2) numerator uses the level-set decomposition.  Capped
+    weights are positive integers, so level 1 (``w ≥ 1``) is the overlap
+    product the Jaccard already needs; the deeper levels' products are
+    accumulated as sparse matrices and densified once.  Every level
+    contributes exact small integers, so the sum is bit-identical to
+    summing dense levels in any order.
     """
     B1 = (W1 > 0).astype(np.float64)
     B2 = (W2 > 0).astype(np.float64)
     sizes1 = np.asarray(B1.sum(axis=1)).ravel()
     sizes2 = np.asarray(B2.sum(axis=1)).ravel()
-    inter = np.asarray((B1 @ B2.T).todense())
+    inter = (B1 @ B2.T).toarray()
     union = sizes1[:, None] + sizes2[None, :] - inter
     jac = np.ones_like(inter)
     np.divide(inter, union, out=jac, where=union > 0)
 
-    level_acc: "sparse.spmatrix | None" = None
-    level = 1
-    L1, L2 = W1, W2
-    while level <= cap and L1.nnz and L2.nnz:
-        B1t = (L1 >= level).astype(np.float64)
-        B2t = (L2 >= level).astype(np.float64)
+    deeper: "sparse.spmatrix | None" = None
+    for level in range(2, cap + 1):
+        B1t = (W1 >= level).astype(np.float64)
+        B2t = (W2 >= level).astype(np.float64)
         if B1t.nnz == 0 or B2t.nnz == 0:
             break
         product = B1t @ B2t.T
-        level_acc = product if level_acc is None else level_acc + product
-        level += 1
-    min_sum = (
-        np.asarray(level_acc.todense())
-        if level_acc is not None
-        else np.zeros_like(inter)
-    )
+        deeper = product if deeper is None else deeper + product
+    min_sum = inter if deeper is None else inter + deeper.toarray()
     sum1 = np.asarray(W1.sum(axis=1)).ravel().astype(np.float64)
     sum2 = np.asarray(W2.sum(axis=1)).ravel().astype(np.float64)
     max_sum = sum1[:, None] + sum2[None, :] - min_sum
@@ -184,16 +173,17 @@ class SimilarityCache:
     """Shared store of similarity matrices for one anonymized/auxiliary pair.
 
     Keys are ``(kind, *params)`` tuples — ``("degree",)``,
-    ``("distance", n_landmarks)``, ``("attribute", cap)`` and
-    ``("combined", (c1, c2, c3), n_landmarks, cap)`` — so any number of
-    :class:`SimilarityComputer` instances with different weights or knobs can
-    share one cache and each matrix is computed at most once.  Sparse-path
-    entries additionally carry the blocking-policy key (``("blocking", ...)``
-    masks, ``("degree_pairs", ...)`` / ``("combined_pairs", ...)`` pair
-    values), so dense and blocked variants never collide.  Build/hit
-    counters per kind let callers assert reuse (parameter-sweep tests);
-    entry/byte accounting lets long-lived sessions report and bound their
-    memory footprint.
+    ``("landmarks", n_landmarks)``, ``("distance", n_landmarks)``,
+    ``("attribute", cap)`` and ``("combined", (c1, c2, c3), n_landmarks,
+    cap)`` — so any number of :class:`SimilarityComputer` instances with
+    different weights, knobs or blocking policies can share one cache and
+    each matrix is computed at most once.  Sparse-path entries additionally
+    carry the blocking-policy key (``("blocking", ...)`` masks,
+    ``("degree_pairs", ...)`` / ``("distance_pairs", ...)`` /
+    ``("combined_pairs", ...)`` pair values), so dense and blocked variants
+    never collide.  Build/hit counters per kind let callers assert reuse
+    (parameter-sweep tests); entry/byte accounting lets long-lived sessions
+    report and bound their memory footprint.
     """
 
     def __init__(self) -> None:
@@ -238,8 +228,10 @@ class SimilarityCache:
     def entries(self) -> int:
         return len(self._matrices)
 
-    @staticmethod
-    def _entry_nbytes(value) -> int:
+    @classmethod
+    def _entry_nbytes(cls, value) -> int:
+        if isinstance(value, tuple):
+            return sum(cls._entry_nbytes(part) for part in value)
         if sparse.issparse(value):
             parts = (
                 getattr(value, "data", None),
@@ -251,7 +243,8 @@ class SimilarityCache:
         return int(nbytes) if nbytes is not None else 0
 
     def nbytes(self) -> int:
-        """Total bytes held by cached entries (dense, sparse, and masks)."""
+        """Total bytes held by cached entries (dense, sparse, masks, and the
+        arrays of tuple entries)."""
         with self._mutex:
             return sum(self._entry_nbytes(v) for v in self._matrices.values())
 
@@ -376,8 +369,14 @@ class SimilarityComputer:
     def _landmark_vectors(self) -> tuple:
         """Landmark-closeness matrices (hop and weighted) for both graphs.
 
-        Single source of the landmark setup for the dense and pair kernels.
+        Single source of the landmark setup for the dense and pair kernels,
+        cached so the Dijkstra runs happen once per split.
         """
+        return self.cache.get_or_build(
+            ("landmarks", self.n_landmarks), self._build_landmark_vectors
+        )
+
+    def _build_landmark_vectors(self) -> tuple:
         g1, g2 = self.anonymized, self.auxiliary
         h = min(self.n_landmarks, g1.n_users, g2.n_users)
         lm1 = select_landmarks(g1, h)
@@ -414,17 +413,13 @@ class SimilarityComputer:
             ("attribute", self.attribute_weight_cap), self._build_attribute
         )
 
-    def _capped_attr_weights(self) -> tuple:
+    def _build_attribute(self) -> np.ndarray:
         cap = self.attribute_weight_cap
         W1 = self.anonymized.attr_weights.astype(np.int64).tocsr().copy()
         W2 = self.auxiliary.attr_weights.astype(np.int64).tocsr().copy()
         W1.data = np.minimum(W1.data, cap)
         W2.data = np.minimum(W2.data, cap)
-        return W1, W2
-
-    def _build_attribute(self) -> np.ndarray:
-        W1, W2 = self._capped_attr_weights()
-        return _attribute_dense_block(W1, W2, self.attribute_weight_cap)
+        return _attribute_dense_block(W1, W2, cap)
 
     # --- combination ----------------------------------------------------
 
@@ -560,109 +555,9 @@ class SimilarityComputer:
         return vals
 
     def attribute_pairs(self) -> np.ndarray:
-        """s^a at the masked pairs only."""
-        return self.cache.get_or_build(
-            ("attribute_pairs", self.attribute_weight_cap) + self.blocking_key(),
-            self._build_attribute_pairs,
-        )
-
-    def _build_attribute_pairs(self) -> np.ndarray:
-        """Jaccard + weighted Jaccard per candidate pair, strategy-switched.
-
-        Two evaluation strategies, both bounded-memory:
-
-        * **gather** (sparse masks) — for each pair, the auxiliary CSR row
-          is gathered and compared against the anonymized user's weight
-          row directly; cost scales with the nonzeros under surviving
-          pairs, the right asymptotics when blocking prunes hard;
-        * **blockwise** (dense-ish masks) — the dense level-set kernel runs
-          on bounded anonymized-row chunks and each chunk block is sampled
-          at the mask positions before being discarded; cost matches the
-          dense path (BLAS-speed sparse matmuls) while peak memory stays
-          one chunk, which wins when the mask retains most pairs.
-        """
-        W1, W2 = self._capped_attr_weights()
-        mask = self.candidate_mask()
-        if mask.density >= _ATTR_GATHER_MAX_DENSITY:
-            return self._attribute_pairs_blockwise(W1, W2, mask.matrix)
-        return self._attribute_pairs_gather(W1, W2, mask.matrix)
-
-    def _attribute_pairs_blockwise(
-        self,
-        W1: sparse.csr_matrix,
-        W2: sparse.csr_matrix,
-        mask: sparse.csr_matrix,
-    ) -> np.ndarray:
-        n1, n2 = mask.shape
-        chunk = max(1, _ATTR_BLOCK_TARGET_CELLS // max(n2, 1))
-        out = np.empty(mask.nnz, dtype=np.float64)
-        for start in range(0, n1, chunk):
-            stop = min(start + chunk, n1)
-            lo, hi = mask.indptr[start], mask.indptr[stop]
-            if lo == hi:
-                continue
-            block = _attribute_dense_block(
-                W1[start:stop], W2, self.attribute_weight_cap
-            )
-            local_rows = (
-                np.repeat(
-                    np.arange(start, stop, dtype=np.int64),
-                    np.diff(mask.indptr[start : stop + 1]),
-                )
-                - start
-            )
-            out[lo:hi] = block[local_rows, mask.indices[lo:hi]]
-        return out
-
-    def _attribute_pairs_gather(
-        self,
-        W1: sparse.csr_matrix,
-        W2: sparse.csr_matrix,
-        mask: sparse.csr_matrix,
-    ) -> np.ndarray:
-        n1 = W1.shape[0]
-        sizes1 = np.asarray((W1 > 0).sum(axis=1)).ravel().astype(np.float64)
-        sizes2 = np.asarray((W2 > 0).sum(axis=1)).ravel().astype(np.float64)
-        sum1 = np.asarray(W1.sum(axis=1)).ravel().astype(np.float64)
-        sum2 = np.asarray(W2.sum(axis=1)).ravel().astype(np.float64)
-
-        out = np.empty(mask.nnz, dtype=np.float64)
-        for start in range(0, n1, _ATTR_PAIR_CHUNK_ROWS):
-            stop = min(start + _ATTR_PAIR_CHUNK_ROWS, n1)
-            lo, hi = mask.indptr[start], mask.indptr[stop]
-            if lo == hi:
-                continue
-            cols = mask.indices[lo:hi]
-            pair_rows = np.repeat(
-                np.arange(start, stop, dtype=np.int64),
-                np.diff(mask.indptr[start : stop + 1]),
-            )
-            W1d = W1[start:stop].toarray()
-            sub = W2[cols]  # one sparse row per pair, in pair order
-            w1_at = W1d[
-                np.repeat(pair_rows - start, np.diff(sub.indptr)),
-                sub.indices,
-            ]
-            shared = (w1_at > 0).astype(np.float64)
-            min_vals = np.minimum(sub.data, w1_at).astype(np.float64)
-            inter = np.asarray(
-                sparse.csr_matrix(
-                    (shared, sub.indices, sub.indptr), shape=sub.shape
-                ).sum(axis=1)
-            ).ravel()
-            min_sum = np.asarray(
-                sparse.csr_matrix(
-                    (min_vals, sub.indices, sub.indptr), shape=sub.shape
-                ).sum(axis=1)
-            ).ravel()
-            union = sizes1[pair_rows] + sizes2[cols] - inter
-            jac = np.ones_like(inter)
-            np.divide(inter, union, out=jac, where=union > 0)
-            max_sum = sum1[pair_rows] + sum2[cols] - min_sum
-            wjac = np.ones_like(inter)
-            np.divide(min_sum, max_sum, out=wjac, where=max_sum > 0)
-            out[lo:hi] = jac + wjac
-        return out
+        """s^a at the masked pairs only, sampled from the dense block."""
+        rows, cols = self.candidate_mask().pair_arrays()
+        return self.attribute_similarity()[rows, cols]
 
     def combined_sparse(self) -> SparseSimilarity:
         """The combined similarity at the masked pairs only.

@@ -171,6 +171,48 @@ class TestSweepCaching:
         assert set(blocked.success_rates) == set(dense.success_rates)
         assert all(0.0 <= rate <= 1.0 for rate in blocked.success_rates.values())
 
+    def test_multi_policy_sweep_builds_attribute_and_landmarks_once(
+        self, tiny_corpus, monkeypatch
+    ):
+        """The dense path and every blocking policy read one attribute
+        block and one set of landmark vectors per split."""
+        import repro.core.similarity as similarity
+
+        calls = {"attribute": 0, "landmarks": 0}
+
+        def counted(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            similarity,
+            "_attribute_dense_block",
+            counted("attribute", similarity._attribute_dense_block),
+        )
+        monkeypatch.setattr(
+            similarity,
+            "landmark_closeness",
+            counted("landmarks", similarity.landmark_closeness),
+        )
+        session = AttackSession.from_dataset(
+            tiny_corpus, aux_fraction=0.5, split_seed=102
+        )
+        base = _request(refined=False)
+        session.sweep(
+            [
+                base.variant(blocking=blocking, weights=weights)
+                for blocking in ("none", "lsh", "ann_graph", "union")
+                for weights in ((0.05, 0.05, 0.9), (0.2, 0.2, 0.6))
+            ]
+        )
+        # one block; two graphs × hop/weighted closeness
+        assert calls == {"attribute": 1, "landmarks": 4}
+        builds = session.similarity_cache.builds
+        assert builds["attribute"] == builds["landmarks"] == 1
+
     def test_clear_similarity_cache(self, tiny_corpus):
         eng = Engine()
         eng.register("tiny", tiny_corpus)

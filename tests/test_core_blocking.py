@@ -193,9 +193,9 @@ class TestDenseIdentity:
         assert np.array_equal(scores, reference)
         assert attack.blocking_stats()["pair_fraction"] == 1.0
 
-    # blocking_keep=0.5 exercises the blockwise (dense-chunk) attribute
-    # kernel; 0.1 drops the attr_index/union masks below the gather
-    # threshold so the per-pair gather kernel gets identity coverage too
+    # blocking_keep 0.5 and 0.1: attr_index, lsh and ann_graph masks keep
+    # about half and a tenth of the pairs; union and degree_band stay
+    # dense-ish at both
     @pytest.mark.parametrize("keep", (0.5, 0.1))
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_masked_scores_match_dense_at_pairs(self, small_world, policy, keep):

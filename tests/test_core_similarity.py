@@ -117,6 +117,15 @@ class TestComponents:
         # the combined matrix alone accounts for part of the byte total
         assert counters["bytes"] >= combined.nbytes > 0
 
+    def test_cache_counts_tuple_entries(self, graph_pair):
+        anon, aux = graph_pair
+        cache = SimilarityCache()
+        sim = SimilarityComputer(anon, aux, n_landmarks=10, cache=cache)
+        vectors = sim._landmark_vectors()
+        assert isinstance(vectors, tuple)
+        assert cache.has("landmarks", 10)
+        assert cache.nbytes() == sum(v.nbytes for v in vectors) > 0
+
     def test_cache_clear_drops_entries_keeps_counters(self, graph_pair):
         anon, aux = graph_pair
         cache = SimilarityCache()
