@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 
-from repro.core.config import DeHealthConfig, SimilarityWeights
+from repro.core.config import UNION_ATOMS, DeHealthConfig, SimilarityWeights
 from repro.errors import ConfigError
 
 #: Split worlds an :class:`AttackRequest` can ask for.
@@ -134,7 +134,8 @@ class AttackRequest:
     seed: int = 0
 
     def _blocking_atoms(self) -> set:
-        """The policy atoms named by ``blocking``, leniently split.
+        """The policy atoms named by ``blocking``, leniently split, with
+        ``"union"`` spelled out as its parts.
 
         Validation happens in :meth:`validate` (via the config); this
         helper only decides which knobs are *relevant*, so construction of
@@ -142,7 +143,10 @@ class AttackRequest:
         """
         if not isinstance(self.blocking, str):
             return set()
-        return {part.strip() for part in self.blocking.split("+")}
+        atoms = {part.strip() for part in self.blocking.split("+")}
+        if "union" in atoms:
+            atoms.update(UNION_ATOMS)
+        return atoms
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _weights_tuple(self.weights))
@@ -152,11 +156,11 @@ class AttackRequest:
         # (a knob is omitted from the wire whenever no active policy atom
         # reads it)
         atoms = self._blocking_atoms()
-        if not atoms & {"degree_band", "union"}:
+        if "degree_band" not in atoms:
             object.__setattr__(self, "blocking_band_width", 1.0)
-        if not atoms & {"attr_index", "union"}:
+        if "attr_index" not in atoms:
             object.__setattr__(self, "blocking_min_shared", 1)
-        if not atoms & {"attr_index", "union", "lsh", "ann_graph"}:
+        if not atoms & {"attr_index", "lsh", "ann_graph"}:
             object.__setattr__(self, "blocking_keep", 0.2)
         if "lsh" not in atoms:
             object.__setattr__(self, "blocking_lsh_bands", 48)
@@ -273,11 +277,11 @@ class AttackRequest:
         if self.blocking != "none":
             payload["blocking"] = self.blocking
             atoms = self._blocking_atoms()
-            if atoms & {"degree_band", "union"}:
+            if "degree_band" in atoms:
                 payload["blocking_band_width"] = self.blocking_band_width
-            if atoms & {"attr_index", "union"}:
+            if "attr_index" in atoms:
                 payload["blocking_min_shared"] = self.blocking_min_shared
-            if atoms & {"attr_index", "union", "lsh", "ann_graph"}:
+            if atoms & {"attr_index", "lsh", "ann_graph"}:
                 payload["blocking_keep"] = self.blocking_keep
             if "lsh" in atoms:
                 payload["blocking_lsh_bands"] = self.blocking_lsh_bands

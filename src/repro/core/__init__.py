@@ -17,7 +17,6 @@ from repro.core.blocking import (
     degree_band_candidates,
     lsh_signature_bits,
     lsh_candidates,
-    union_candidates,
 )
 from repro.core.config import (
     BLOCKING_CHOICES,
@@ -67,5 +66,4 @@ __all__ = [
     "matching_top_k",
     "mean_verification",
     "parse_blocking",
-    "union_candidates",
 ]

@@ -16,8 +16,9 @@ before scoring; this module provides that stage for De-Health:
   ranked by its binary attribute Jaccard (the unweighted half of the
   paper's ``s^a``, computable from the index counts alone) and only the
   top ``keep_fraction`` of each anonymized user's column set is retained;
-* ``"union"`` — the union of the two masks above: the recall-safe policy
-  (a true match missed by one blocker is usually caught by the other);
+* ``"union"`` — an alias for ``"degree_band+attr_index"``, the OR of the
+  two masks above: the recall-safe policy (a true match missed by one
+  blocker is usually caught by the other);
 * ``"lsh"`` — banded random-hyperplane (SimHash) signatures over the
   per-user attribute-profile vectors; candidates are the union of
   band-bucket collisions, ranked by how many bands collide, with the same
@@ -35,12 +36,12 @@ existing exact blockers.
 
 Every policy produces a :class:`CandidateMask` — a per-anonymized-user
 candidate column set stored as a boolean CSR matrix.  Candidate
-generation never builds an ``n1 × n2`` array.  The sparse scoring path in
+generation never builds an ``n1 × n2`` array.  The blocked scoring path in
 :mod:`repro.core.similarity` returns a :class:`SparseSimilarity` over the
-candidate pairs: it evaluates ``s^d`` and ``s^s`` pair by pair, but reads
-``s^a`` from one ``n1 × n2`` float64 attribute block per split, the block
-the dense path uses too, so the dense path and every policy of a session
-share one build.
+candidate pairs: it samples the ``s^d``, ``s^s`` and ``s^a`` blocks the
+dense path uses too (one ``n1 × n2`` float64 block per term and split),
+so its scores are the dense scores at the mask, byte for byte, and the
+dense path and every policy of a session share one build of each block.
 """
 
 from __future__ import annotations
@@ -366,22 +367,6 @@ def attr_index_candidates(
         shape=(n1, n2),
     )
     return CandidateMask(matrix)
-
-
-def union_candidates(
-    anonymized: UDAGraph,
-    auxiliary: UDAGraph,
-    band_width: float = 1.0,
-    radius: int = 1,
-    min_shared: int = 1,
-    keep_fraction: float = 0.2,
-) -> CandidateMask:
-    """Union of the degree-band and attribute-index masks (recall-safe)."""
-    return degree_band_candidates(
-        anonymized, auxiliary, band_width=band_width, radius=radius
-    ) | attr_index_candidates(
-        anonymized, auxiliary, min_shared=min_shared, keep_fraction=keep_fraction
-    )
 
 
 # --- approximate-nearest-neighbour policies -----------------------------
@@ -727,10 +712,9 @@ class NSWIndex:
     run a round-based batched beam of width ``ef`` seeded from the entry
     point and the query's own LSH bucket-mates; the surviving beam is
     rescored with exact float64 cosines, so returned similarities are
-    exact even though exploration is approximate.  Streaming growth is
-    supported by :meth:`insert` (classic sequential NSW insertion).
-    Everything — insertion order, tie-breaks (by node id), float kernels
-    — is deterministic across runs and processes.
+    exact even though exploration is approximate.  Everything — insertion
+    order, tie-breaks (by node id), float kernels — is deterministic
+    across runs and processes.
     """
 
     def __init__(
@@ -765,7 +749,7 @@ class NSWIndex:
         self._PE = self._explore(self._P)
         # the bucket-bit threshold is the index-side mean projection
         # (mean-centering, as in lsh_signature_bits) and stays frozen so
-        # queries and later inserts hash consistently
+        # queries hash consistently
         self._center = (
             self._P[:, :seed_bits].mean(axis=0)
             if self.n
@@ -776,9 +760,7 @@ class NSWIndex:
             NSW_SEED_BANDS,
             NSW_SEED_ROWS,
         )
-        self.neighbors: list = [[] for _ in range(self.n)]
         self._build()
-        self._sync()
 
     # --- shared kernels -------------------------------------------------
 
@@ -855,7 +837,11 @@ class NSWIndex:
         return pu, pv
 
     def _build(self) -> None:
+        """Store the graph as CSR neighbour ids (``_adj_indices``) and the
+        ``-1``-padded neighbour table the batched search gathers from."""
         if self.n < 2:
+            self._adj_indices = np.empty(0, dtype=np.int64)
+            self._nbr_pad = np.full((self.n, 1), -1, dtype=np.int64)
             return
         order = self._order.astype(np.int64)
         ring_u = np.concatenate([order[:-1], order[1:]])
@@ -884,96 +870,18 @@ class NSWIndex:
             np.concatenate([au, ring_u]) * np.int64(self.n)
             + np.concatenate([av, ring_v])
         )
-        fu, fv = enc // self.n, enc % self.n
-        splits = np.cumsum(np.bincount(fu, minlength=self.n))[:-1]
-        self.neighbors = [arr.tolist() for arr in np.split(fv, splits)]
-
-    def _sync(self) -> None:
-        """Rebuild the CSR adjacency the batched search walks.
-
-        ``self.neighbors`` stays a list of per-node id lists so
-        :meth:`insert` can mutate it cheaply; search needs the flat
-        arrays.
-        """
-        rows = [
-            np.unique(np.asarray(links, dtype=np.int64))
-            for links in self.neighbors
-        ]
-        counts = np.array([len(r) for r in rows], dtype=np.int64)
-        self._adj_indptr = np.concatenate(([0], np.cumsum(counts)))
-        self._adj_indices = (
-            np.concatenate(rows) if counts.sum() else np.empty(0, np.int64)
-        )
-        self.neighbors = [r.tolist() for r in rows]
+        fu, self._adj_indices = enc // self.n, enc % self.n
         # pad to a rectangle for the batched expansion gather: one 2-D
         # take beats per-node variable-length range arithmetic, and the
-        # width is bounded by the degree cap (+ ring exemptions)
-        width = max(int(counts.max()) if self.n else 0, 1)
+        # width is bounded by the degree cap (+ ring exemptions); the ring
+        # gives every node at least one neighbour, so the width is >= 1
+        counts = np.bincount(fu, minlength=self.n)
+        width = int(counts.max())
         self._nbr_pad = np.full((self.n, width), -1, dtype=np.int64)
         flat = _concat_ranges(
             np.arange(self.n, dtype=np.int64) * width, counts
         )
         self._nbr_pad.ravel()[flat] = self._adj_indices
-
-    def _prune(self, node: int, max_degree: int) -> list:
-        """Keep the ``max_degree`` highest-similarity edges of ``node``."""
-        cand = sorted(set(self.neighbors[node]))
-        sims = np.asarray(
-            self.X[cand] @ self.X[node].toarray().ravel()
-        ).ravel()
-        # Python floats: numpy scalars inside the sort tuples would reach
-        # the id tie-break through dtype-dependent comparisons
-        ranked = sorted(zip((float(-s) for s in sims), cand))
-        return [j for _, j in ranked[:max_degree]]
-
-    # --- streaming ------------------------------------------------------
-
-    def insert(self, profile) -> int:
-        """Append one profile vector and link it into the graph.
-
-        Classic sequential NSW insertion: greedy-search the current
-        graph for the row's ``m`` nearest nodes, add bidirectional edges,
-        prune any neighbour that exceeds the ``2 m`` degree cap.  Returns
-        the new node id.
-        """
-        row = sparse.csr_matrix(profile, dtype=np.float64)
-        row = row.reshape(1, -1) if row.shape[0] != 1 else row
-        norm = np.sqrt(row.multiply(row).sum())
-        if norm > 0:
-            row = row / norm
-        found = self.search(row.toarray().ravel()) if self.n else []
-        node = self.n
-        seed_bits = NSW_SEED_BANDS * NSW_SEED_ROWS
-        proj = np.asarray(
-            sparse.csr_matrix(row, dtype=np.float32) @ self._planes
-        )
-        self.X = sparse.vstack([self.X, row]).tocsr() if self.n else row
-        self.X.sort_indices()
-        self._P = np.vstack([self._P, proj]) if self.n else proj
-        self._PE = self._explore(self._P)
-        self._seed_keys = np.vstack(
-            [
-                self._seed_keys,
-                _band_keys(
-                    proj[:, :seed_bits] >= self._center,
-                    NSW_SEED_BANDS,
-                    NSW_SEED_ROWS,
-                ),
-            ]
-        )
-        self.n += 1
-        self._order = np.concatenate(
-            [self._order, np.array([node], dtype=self._order.dtype)]
-        )
-        links = [j for _, j in found[: self.m]]
-        self.neighbors.append(links)
-        max_degree = 2 * self.m
-        for j in links:
-            self.neighbors[j].append(node)
-            if len(self.neighbors[j]) > max_degree:
-                self.neighbors[j] = self._prune(j, max_degree)
-        self._sync()
-        return node
 
     # --- search ---------------------------------------------------------
 
@@ -1183,8 +1091,9 @@ def ann_graph_candidates(
     matrix = sparse.csr_matrix(
         (np.ones(indptr[-1], dtype=bool), indices, indptr), shape=(n1, n2)
     )
-    edges = sum(len(links) for links in index.neighbors)
-    return CandidateMask(matrix, meta={"ann_graph_edges": edges})
+    return CandidateMask(
+        matrix, meta={"ann_graph_edges": len(index._adj_indices)}
+    )
 
 
 def build_candidates(
@@ -1220,15 +1129,6 @@ def build_candidates(
             return attr_index_candidates(
                 anonymized,
                 auxiliary,
-                min_shared=min_shared,
-                keep_fraction=keep_fraction,
-            )
-        if atom == "union":
-            return union_candidates(
-                anonymized,
-                auxiliary,
-                band_width=band_width,
-                radius=radius,
                 min_shared=min_shared,
                 keep_fraction=keep_fraction,
             )

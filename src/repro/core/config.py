@@ -27,6 +27,10 @@ BLOCKING_CHOICES: tuple[str, ...] = (
     "ann_graph",
 )
 
+#: The atoms ``"union"`` stands for: :func:`parse_blocking` spells it out
+#: as these, while requests and ``/stats`` keep the name ``"union"``.
+UNION_ATOMS: tuple[str, ...] = ("degree_band", "attr_index")
+
 
 def parse_blocking(policy) -> tuple:
     """Split a blocking policy spec into its validated atoms.
@@ -35,6 +39,9 @@ def parse_blocking(policy) -> tuple:
     ``("lsh", "degree_band")``.  ``"none"`` cannot be composed, every atom
     must be a :data:`BLOCKING_CHOICES` member, and duplicates are
     rejected.  Raises :class:`~repro.errors.ConfigError` otherwise.
+    ``"union"`` then expands to :data:`UNION_ATOMS`, skipping parts
+    already named: ``"union+degree_band"`` -> ``("degree_band",
+    "attr_index")``.
     """
     if not isinstance(policy, str) or not policy:
         raise ConfigError(
@@ -55,7 +62,12 @@ def parse_blocking(policy) -> tuple:
         )
     if len(set(atoms)) != len(atoms):
         raise ConfigError(f"blocking composite repeats a policy: {policy!r}")
-    return atoms
+    expanded: tuple = ()
+    for atom in atoms:
+        for part in UNION_ATOMS if atom == "union" else (atom,):
+            if part not in expanded:
+                expanded += (part,)
+    return expanded
 
 
 @dataclass(frozen=True)
@@ -91,17 +103,18 @@ class DeHealthConfig:
     closed-world setting.
 
     ``blocking`` selects the candidate-generation policy of the Top-K
-    phase: ``"none"`` scores every (anonymized, auxiliary) pair with the
-    exact dense matrices; ``"degree_band"``, ``"attr_index"``, and
-    ``"union"`` prune the pair space first and score only candidate pairs
-    (see :mod:`repro.core.blocking`).  ``blocking_band_width`` is the
-    log2-degree band width of the degree blocker, ``blocking_min_shared``
-    the minimum shared-attribute count of the inverted-index blocker, and
-    ``blocking_keep`` bounds how many candidates the index blocker may
-    retain per anonymized user: a cap of ``ceil(blocking_keep × n2)``
-    auxiliary columns (so the whole mask never exceeds that fraction of
-    the full pair space; rows with fewer index-generated candidates keep
-    them all).
+    phase: ``"none"`` ranks every (anonymized, auxiliary) pair of the
+    dense similarity matrix; ``"degree_band"``, ``"attr_index"``, and
+    ``"union"`` (an alias for ``"degree_band+attr_index"``) prune the pair
+    space first and rank only the candidate pairs, whose scores are the
+    dense ones sampled at the mask (see :mod:`repro.core.blocking`).
+    ``blocking_band_width`` is the log2-degree band width of the degree
+    blocker, ``blocking_min_shared`` the minimum shared-attribute count of
+    the inverted-index blocker, and ``blocking_keep`` bounds how many
+    candidates the index blocker may retain per anonymized user: a cap of
+    ``ceil(blocking_keep × n2)`` auxiliary columns (so the whole mask
+    never exceeds that fraction of the full pair space; rows with fewer
+    index-generated candidates keep them all).
 
     The approximate-nearest-neighbour policies make candidate generation
     itself sub-quadratic: ``"lsh"`` hashes every user's attribute-profile

@@ -138,8 +138,9 @@ class DeHealth:
     def similarity_matrix(self) -> np.ndarray:
         """The full similarity matrix, densified if blocking is active.
 
-        With a blocking policy, pruned pairs come back at the sparse floor;
-        prefer :meth:`similarity_scores` to keep the memory win.
+        With a blocking policy, pruned pairs come back at the sparse floor
+        and the densified copy costs one more ``n1 × n2`` array; prefer
+        :meth:`similarity_scores`, which holds the candidate pairs only.
         """
         self._require_fit()
         S = self.similarity.scores()

@@ -9,27 +9,22 @@
 * ``s^a`` — attribute similarity: Jaccard of A(u)/A(v) plus weighted Jaccard
   of WA(u)/WA(v).
 
-The three components can be evaluated two ways:
+Each component has one kernel, which builds its full ``n1 × n2`` block
+with vectorised NumPy/SciPy code; the weighted Jaccard uses a level-set
+decomposition (Σ min(a,b) = Σ_t |{a ≥ t} ∩ {b ≥ t}| for integer weights)
+so it reduces to a short series of sparse boolean matmuls.  The blocks
+are built once per split and cached, and both scoring paths read them:
 
-* **dense** — full (n1 × n2) matrices with fully vectorised NumPy/SciPy
-  code; the weighted Jaccard uses a level-set decomposition
-  (Σ min(a,b) = Σ_t |{a ≥ t} ∩ {b ≥ t}| for integer weights) so it reduces
-  to a short series of sparse boolean matmuls.  This is the exact path and
-  the default (``blocking="none"``).
-* **sparse / pair-level** — when a blocking policy
-  (:mod:`repro.core.blocking`) prunes the pair space, the result is a
+* **dense** — ``blocking="none"`` (the default) combines the whole blocks
+  into the ``n1 × n2`` matrix ``s_uv``;
+* **blocked** — when a blocking policy (:mod:`repro.core.blocking`) prunes
+  the pair space, the result is a
   :class:`~repro.core.blocking.SparseSimilarity` over the surviving
-  candidate pairs.  ``s^d`` and ``s^s`` are evaluated only at those pairs
-  (pairwise min/max ratios, chunked cosine over COO index pairs).
-  ``s^a`` is sampled at them from the dense attribute block, which is
-  built once per split and shared by the dense path and every policy.
-  That costs one ``n1 × n2`` float64 array per split and gives the same
-  bits as a per-pair evaluation.  A per-pair evaluation can be cheaper
-  for a lone attack under a very sparse mask; once a session scores the
-  dense path or a second policy, the shared block is.
-
-The landmark-closeness vectors behind ``s^s`` are likewise built once per
-split and cached, whichever path reads them.
+  candidate pairs.  Its values are the component blocks sampled at those
+  pairs and combined in the dense order, so they equal the dense
+  ``s_uv`` at every candidate pair byte for byte.  No combined ``n1 × n2``
+  matrix is built for it; the component blocks are shared with the dense
+  path and every other policy of the split.
 """
 
 from __future__ import annotations
@@ -44,11 +39,6 @@ from repro.core.blocking import CandidateMask, SparseSimilarity, build_candidate
 from repro.core.config import SimilarityWeights, parse_blocking
 from repro.graph.landmarks import landmark_closeness, select_landmarks
 from repro.graph.uda import UDAGraph
-
-#: Pair-chunk size for the chunked cosine kernels (bounds peak memory of
-#: the gathered row blocks at ``chunk × vector_width`` floats).
-_COSINE_CHUNK_PAIRS = 1 << 18
-
 
 def _minmax_ratio_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise min/max ratio with the 0/0 -> 1 convention."""
@@ -87,44 +77,6 @@ def _pad_ncs(ncs: list, width: int) -> np.ndarray:
     for i, vec in enumerate(ncs):
         if len(vec):
             out[i, : len(vec)] = vec
-    return out
-
-
-# --- pairwise (masked) kernels ------------------------------------------
-
-
-def _minmax_ratio_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise min/max ratio over gathered pair values (0/0 -> 1)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    out = np.ones_like(hi)
-    np.divide(lo, hi, out=out, where=hi > 0)
-    return out
-
-
-def _cosine_pairs(
-    A: np.ndarray, B: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Cosine at the given (row, col) pairs, same zero conventions as dense.
-
-    Gathers row blocks of at most :data:`_COSINE_CHUNK_PAIRS` pairs, so
-    peak memory is bounded regardless of how many pairs are scored.
-    """
-    An, a_zero = _row_normalize(A)
-    Bn, b_zero = _row_normalize(B)
-    out = np.empty(len(rows), dtype=np.float64)
-    for start in range(0, len(rows), _COSINE_CHUNK_PAIRS):
-        stop = start + _COSINE_CHUNK_PAIRS
-        out[start:stop] = np.einsum(
-            "ij,ij->i", An[rows[start:stop]], Bn[cols[start:stop]]
-        )
-    az = a_zero[rows]
-    bz = b_zero[cols]
-    if az.any() or bz.any():
-        out[az | bz] = 0.0
-        out[az & bz] = 1.0
     return out
 
 
@@ -173,13 +125,13 @@ class SimilarityCache:
     """Shared store of similarity matrices for one anonymized/auxiliary pair.
 
     Keys are ``(kind, *params)`` tuples — ``("degree",)``,
-    ``("landmarks", n_landmarks)``, ``("distance", n_landmarks)``,
-    ``("attribute", cap)`` and ``("combined", (c1, c2, c3), n_landmarks,
-    cap)`` — so any number of :class:`SimilarityComputer` instances with
-    different weights, knobs or blocking policies can share one cache and
-    each matrix is computed at most once.  Sparse-path entries additionally
-    carry the blocking-policy key (``("blocking", ...)`` masks,
-    ``("degree_pairs", ...)`` / ``("distance_pairs", ...)`` /
+    ``("distance", n_landmarks)``, ``("attribute", cap)`` and
+    ``("combined", (c1, c2, c3), n_landmarks, cap)`` — so any number of
+    :class:`SimilarityComputer` instances with different weights, knobs or
+    blocking policies can share one cache and each matrix is computed at
+    most once.  The three component blocks serve the dense path and every
+    blocking policy alike.  Blocked-path entries additionally carry the
+    blocking-policy key (``("blocking", ...)`` masks and
     ``("combined_pairs", ...)`` pair values), so dense and blocked variants
     never collide.  Build/hit counters per kind let callers assert reuse
     (parameter-sweep tests); entry/byte accounting lets long-lived sessions
@@ -228,10 +180,8 @@ class SimilarityCache:
     def entries(self) -> int:
         return len(self._matrices)
 
-    @classmethod
-    def _entry_nbytes(cls, value) -> int:
-        if isinstance(value, tuple):
-            return sum(cls._entry_nbytes(part) for part in value)
+    @staticmethod
+    def _entry_nbytes(value) -> int:
         if sparse.issparse(value):
             parts = (
                 getattr(value, "data", None),
@@ -243,8 +193,7 @@ class SimilarityCache:
         return int(nbytes) if nbytes is not None else 0
 
     def nbytes(self) -> int:
-        """Total bytes held by cached entries (dense, sparse, masks, and the
-        arrays of tuple entries)."""
+        """Total bytes held by cached entries (dense, sparse, and masks)."""
         with self._mutex:
             return sum(self._entry_nbytes(v) for v in self._matrices.values())
 
@@ -305,10 +254,11 @@ class SimilarityComputer:
     same graph pair (e.g. a sweep over c1/c2/c3 weights) reuse component and
     combined matrices instead of recomputing them.
 
-    ``blocking`` selects the scoring path: ``"none"`` keeps the exact dense
-    matrices, any other policy builds a candidate mask
-    (:func:`repro.core.blocking.build_candidates`) and scores only the
-    masked pairs (:meth:`combined_sparse`); :meth:`scores` dispatches.
+    ``blocking`` selects the scoring path: ``"none"`` combines the whole
+    component blocks into the dense matrix, any other policy builds a
+    candidate mask (:func:`repro.core.blocking.build_candidates`) and
+    combines the same blocks sampled at the masked pairs
+    (:meth:`combined_sparse`); :meth:`scores` dispatches.
     """
 
     def __init__(
@@ -352,47 +302,16 @@ class SimilarityComputer:
         """s^d: degree ratio + weighted-degree ratio + NCS cosine."""
         return self.cache.get_or_build(("degree",), self._build_degree)
 
-    def _ncs_padded(self) -> tuple:
-        """Zero-padded NCS matrices for both graphs, shared width.
-
-        Single source of the padding setup for the dense and pair kernels
-        — they must stay numerically identical position-by-position.
-        """
+    def _build_degree(self) -> np.ndarray:
         g1, g2 = self.anonymized, self.auxiliary
+        component = _minmax_ratio_matrix(g1.degrees, g2.degrees)
+        component += _minmax_ratio_matrix(g1.weighted_degrees, g2.weighted_degrees)
         width = max(
             max((len(v) for v in g1.ncs), default=0),
             max((len(v) for v in g2.ncs), default=0),
             1,
         )
-        return _pad_ncs(g1.ncs, width), _pad_ncs(g2.ncs, width)
-
-    def _landmark_vectors(self) -> tuple:
-        """Landmark-closeness matrices (hop and weighted) for both graphs.
-
-        Single source of the landmark setup for the dense and pair kernels,
-        cached so the Dijkstra runs happen once per split.
-        """
-        return self.cache.get_or_build(
-            ("landmarks", self.n_landmarks), self._build_landmark_vectors
-        )
-
-    def _build_landmark_vectors(self) -> tuple:
-        g1, g2 = self.anonymized, self.auxiliary
-        h = min(self.n_landmarks, g1.n_users, g2.n_users)
-        lm1 = select_landmarks(g1, h)
-        lm2 = select_landmarks(g2, h)
-        return (
-            landmark_closeness(g1, lm1, weighted=False),
-            landmark_closeness(g2, lm2, weighted=False),
-            landmark_closeness(g1, lm1, weighted=True),
-            landmark_closeness(g2, lm2, weighted=True),
-        )
-
-    def _build_degree(self) -> np.ndarray:
-        g1, g2 = self.anonymized, self.auxiliary
-        component = _minmax_ratio_matrix(g1.degrees, g2.degrees)
-        component += _minmax_ratio_matrix(g1.weighted_degrees, g2.weighted_degrees)
-        component += _cosine_matrix(*self._ncs_padded())
+        component += _cosine_matrix(_pad_ncs(g1.ncs, width), _pad_ncs(g2.ncs, width))
         return component
 
     def distance_similarity(self) -> np.ndarray:
@@ -402,9 +321,18 @@ class SimilarityComputer:
         )
 
     def _build_distance(self) -> np.ndarray:
-        hop1, hop2, w1, w2 = self._landmark_vectors()
-        component = _cosine_matrix(hop1, hop2)
-        component += _cosine_matrix(w1, w2)
+        g1, g2 = self.anonymized, self.auxiliary
+        h = min(self.n_landmarks, g1.n_users, g2.n_users)
+        lm1 = select_landmarks(g1, h)
+        lm2 = select_landmarks(g2, h)
+        component = _cosine_matrix(
+            landmark_closeness(g1, lm1, weighted=False),
+            landmark_closeness(g2, lm2, weighted=False),
+        )
+        component += _cosine_matrix(
+            landmark_closeness(g1, lm1, weighted=True),
+            landmark_closeness(g2, lm2, weighted=True),
+        )
         return component
 
     def attribute_similarity(self) -> np.ndarray:
@@ -459,13 +387,6 @@ class SimilarityComputer:
             return ("degree_band", self.blocking_band_width)
         if atom == "attr_index":
             return ("attr_index", self.blocking_min_shared, self.blocking_keep)
-        if atom == "union":
-            return (
-                "union",
-                self.blocking_band_width,
-                self.blocking_min_shared,
-                self.blocking_keep,
-            )
         if atom == "lsh":
             return (
                 "lsh",
@@ -523,48 +444,16 @@ class SimilarityComputer:
         )
         return mask
 
-    def degree_pairs(self) -> np.ndarray:
-        """s^d at the masked pairs only (CSR data order of the mask)."""
-        return self.cache.get_or_build(
-            ("degree_pairs",) + self.blocking_key(), self._build_degree_pairs
-        )
-
-    def _build_degree_pairs(self) -> np.ndarray:
-        g1, g2 = self.anonymized, self.auxiliary
-        rows, cols = self.candidate_mask().pair_arrays()
-        vals = _minmax_ratio_pairs(g1.degrees[rows], g2.degrees[cols])
-        vals += _minmax_ratio_pairs(
-            g1.weighted_degrees[rows], g2.weighted_degrees[cols]
-        )
-        ncs1, ncs2 = self._ncs_padded()
-        vals += _cosine_pairs(ncs1, ncs2, rows, cols)
-        return vals
-
-    def distance_pairs(self) -> np.ndarray:
-        """s^s at the masked pairs only."""
-        return self.cache.get_or_build(
-            ("distance_pairs", self.n_landmarks) + self.blocking_key(),
-            self._build_distance_pairs,
-        )
-
-    def _build_distance_pairs(self) -> np.ndarray:
-        rows, cols = self.candidate_mask().pair_arrays()
-        hop1, hop2, w1, w2 = self._landmark_vectors()
-        vals = _cosine_pairs(hop1, hop2, rows, cols)
-        vals += _cosine_pairs(w1, w2, rows, cols)
-        return vals
-
-    def attribute_pairs(self) -> np.ndarray:
-        """s^a at the masked pairs only, sampled from the dense block."""
-        rows, cols = self.candidate_mask().pair_arrays()
-        return self.attribute_similarity()[rows, cols]
-
     def combined_sparse(self) -> SparseSimilarity:
         """The combined similarity at the masked pairs only.
 
-        Requires a blocking policy other than ``"none"``.  Unscored pairs
-        carry the explicit floor 0.0 — strictly below any scored pair's
-        possible value, since every component is non-negative.
+        The cached component blocks are sampled at the mask and summed in
+        :meth:`combined`'s order, so the values equal
+        ``combined()[rows, cols]`` byte for byte, yet no combined
+        ``n1 × n2`` matrix is built.  Requires a blocking policy other than
+        ``"none"``.  Unscored pairs carry the explicit floor 0.0 — strictly
+        below any scored pair's possible value, since every component is
+        non-negative.
         """
         if self.blocking == "none":
             raise ValueError(
@@ -583,13 +472,14 @@ class SimilarityComputer:
     def _build_combined_sparse(self) -> SparseSimilarity:
         w = self.weights
         mask = self.candidate_mask()
+        rows, cols = mask.pair_arrays()
         total = np.zeros(mask.n_pairs, dtype=np.float64)
         if w.degree:
-            total += w.degree * self.degree_pairs()
+            total += w.degree * self.degree_similarity()[rows, cols]
         if w.distance:
-            total += w.distance * self.distance_pairs()
+            total += w.distance * self.distance_similarity()[rows, cols]
         if w.attribute:
-            total += w.attribute * self.attribute_pairs()
+            total += w.attribute * self.attribute_similarity()[rows, cols]
         return SparseSimilarity(mask, total)
 
     def scores(self):

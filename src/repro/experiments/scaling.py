@@ -6,8 +6,10 @@ candidate-blocking layer buys:
 
 * ``n_pairs`` — similarity pairs actually scored (the dense path scores
   every ``n1 × n2`` pair);
-* ``matrix_bytes`` — bytes held by the similarity cache after scoring
-  (dense matrices vs masks + pair arrays), the peak-memory proxy;
+* ``matrix_bytes`` — bytes held by the similarity cache after scoring,
+  the peak-memory proxy: the dense path holds the three component blocks
+  and the combined matrix, a blocking policy the same component blocks
+  plus its mask and the combined scores at the candidate pairs;
 * ``generation_s`` — wall time of candidate generation alone (mask
   construction; 0 for the dense path).  The quantity the ANN policies
   (``lsh``, ``ann_graph``) exist to bend: ``attr_index`` touches every

@@ -174,8 +174,9 @@ class TestSweepCaching:
     def test_multi_policy_sweep_builds_attribute_and_landmarks_once(
         self, tiny_corpus, monkeypatch
     ):
-        """The dense path and every blocking policy read one attribute
-        block and one set of landmark vectors per split."""
+        """The dense path and every blocking policy read one block per
+        similarity term and split, so the attribute block and the landmark
+        vectors behind the distance block are built once."""
         import repro.core.similarity as similarity
 
         calls = {"attribute": 0, "landmarks": 0}
@@ -211,7 +212,9 @@ class TestSweepCaching:
         # one block; two graphs × hop/weighted closeness
         assert calls == {"attribute": 1, "landmarks": 4}
         builds = session.similarity_cache.builds
-        assert builds["attribute"] == builds["landmarks"] == 1
+        assert builds["degree"] == builds["distance"] == 1
+        assert builds["attribute"] == 1
+        assert "landmarks" not in builds
 
     def test_clear_similarity_cache(self, tiny_corpus):
         eng = Engine()
