@@ -5,8 +5,8 @@ Dense structural similarity scores every ``(anonymized, auxiliary)`` pair —
 entity-resolution systems prune the pair space with a *blocking* stage
 before scoring; this module provides that stage for De-Health:
 
-* ``"none"`` — no blocking; the pipeline keeps the exact dense path
-  (numerically identical to scoring every pair);
+* ``"none"`` — no blocking; the dense path scores every pair, read
+  through the full mask (:meth:`CandidateMask.full`);
 * ``"degree_band"`` — bucket users of both graphs into logarithmic degree
   bands; a pair is a candidate iff the bands are within ``radius`` of each
   other.  Cheap and attribute-free, but a weak pruner on degree-homogeneous
@@ -36,12 +36,13 @@ existing exact blockers.
 
 Every policy produces a :class:`CandidateMask` — a per-anonymized-user
 candidate column set stored as a boolean CSR matrix.  Candidate
-generation never builds an ``n1 × n2`` array.  The blocked scoring path in
-:mod:`repro.core.similarity` returns a :class:`SparseSimilarity` over the
-candidate pairs: it samples the ``s^d``, ``s^s`` and ``s^a`` blocks the
-dense path uses too (one ``n1 × n2`` float64 block per term and split),
-so its scores are the dense scores at the mask, byte for byte, and the
-dense path and every policy of a session share one build of each block.
+generation never builds an ``n1 × n2`` array.  Every policy, ``"none"``
+included, hands the Top-K phase one :class:`SparseSimilarity`: the blocked
+scoring path in :mod:`repro.core.similarity` samples the ``s^d``, ``s^s``
+and ``s^a`` blocks the dense path uses too (one ``n1 × n2`` float64 block
+per term and split), so its scores are the dense scores at the mask, byte
+for byte, and the dense path and every policy of a session share one
+build of each block.
 """
 
 from __future__ import annotations
@@ -86,6 +87,19 @@ class CandidateMask:
         #: counts) — free-form, JSON-safe, surfaced through blocking stats.
         self.meta: dict = dict(meta or {})
 
+    @classmethod
+    def full(cls, n1: int, n2: int) -> "CandidateMask":
+        """Every pair of the ``n1 × n2`` space, rows in column order (the
+        dense case: CSR data order is the row-major ``ravel()`` order)."""
+        indices = np.tile(np.arange(n2, dtype=np.int32), n1)
+        indptr = np.arange(n1 + 1, dtype=np.int64) * n2
+        return cls(
+            sparse.csr_matrix(
+                (np.ones(len(indices), dtype=bool), indices, indptr),
+                shape=(n1, n2),
+            )
+        )
+
     # --- geometry -------------------------------------------------------
 
     @property
@@ -127,11 +141,6 @@ class CandidateMask:
         )
         return rows, m.indices.astype(np.int64, copy=False)
 
-    def contains(self, i: int, j: int) -> bool:
-        cols = self.row_cols(i)
-        pos = np.searchsorted(cols, j)
-        return bool(pos < len(cols) and cols[pos] == j)
-
     def __or__(self, other: "CandidateMask") -> "CandidateMask":
         if self.shape != other.shape:
             raise ConfigError(
@@ -157,6 +166,11 @@ class SparseSimilarity:
     are non-negative, so the default floor of 0.0 never outranks a scored
     pair.  ``values`` is aligned with the mask's CSR data order (the order
     :meth:`CandidateMask.pair_arrays` enumerates).
+
+    Over a full mask (:meth:`CandidateMask.full`) nothing is unscored and
+    ``values`` is the dense matrix raveled row-major: that is the dense
+    case, and the one score type the Top-K phase reads
+    (:meth:`from_dense` wraps an ``(n1 × n2)`` array this way).
     """
 
     def __init__(
@@ -174,6 +188,14 @@ class SparseSimilarity:
         self.mask = mask
         self.values = values
         self.floor = float(floor)
+
+    @classmethod
+    def from_dense(cls, S) -> "SparseSimilarity":
+        """An ``(n1 × n2)`` matrix as scores over the full mask."""
+        S = np.asarray(S, dtype=np.float64)
+        if S.ndim != 2:
+            raise ConfigError(f"similarity matrix must be 2-D, got {S.shape}")
+        return cls(CandidateMask.full(*S.shape), S.ravel())
 
     # --- geometry -------------------------------------------------------
 
@@ -241,9 +263,12 @@ class SparseSimilarity:
             worst = min(worst, self.floor)
         return float(worst)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the floor-filled dense matrix (test/debug helper)."""
-        out = np.full(self.shape, self.floor, dtype=np.float64)
+    def to_dense(self, floor: "float | None" = None) -> np.ndarray:
+        """A fresh dense matrix, unscored pairs filled with ``floor``
+        (default: :attr:`floor`)."""
+        out = np.full(
+            self.shape, self.floor if floor is None else floor, dtype=np.float64
+        )
         rows, cols = self.mask.pair_arrays()
         out[rows, cols] = self.values
         return out
@@ -253,6 +278,12 @@ class SparseSimilarity:
             f"SparseSimilarity(shape={self.shape}, pairs={self.n_pairs}, "
             f"floor={self.floor})"
         )
+
+
+def as_similarity(S) -> SparseSimilarity:
+    """``S`` itself, or a dense matrix wrapped by
+    :meth:`SparseSimilarity.from_dense`: the Top-K phase's one conversion."""
+    return S if isinstance(S, SparseSimilarity) else SparseSimilarity.from_dense(S)
 
 
 # --- policies -----------------------------------------------------------
@@ -1028,22 +1059,6 @@ class NSWIndex:
             (bv[bounds[i] : bounds[i + 1]], sims[bounds[i] : bounds[i + 1]])
             for i in range(nq)
         ]
-
-    def search(self, q: np.ndarray, ef: "int | None" = None) -> list:
-        """Greedy beam search: ``[(similarity, node), ...]`` descending.
-
-        Returns at most ``ef`` results with exact cosine similarities.
-        ``q`` must be an L2-normalized dense vector (or the zero vector,
-        which matches nothing and simply walks the graph
-        deterministically).
-        """
-        if not self.n:
-            return []
-        row = sparse.csr_matrix(
-            np.asarray(q, dtype=np.float64).reshape(1, -1)
-        )
-        (nodes, sims), = self.search_batch(row, ef=ef)
-        return [(float(s), int(j)) for s, j in zip(sims, nodes)]
 
 
 def ann_graph_candidates(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocking import SparseSimilarity
+from repro.core.blocking import as_similarity
 from repro.errors import ConfigError
 
 
@@ -36,7 +36,7 @@ class FilterOutcome:
 
 
 def filter_candidates(
-    S: np.ndarray,
+    S,
     candidates: list,
     epsilon: float = 0.01,
     levels: int = 10,
@@ -46,15 +46,12 @@ def filter_candidates(
     Parameters mirror the paper: ``epsilon`` (ε) lifts the lower threshold
     above the global minimum, ``levels`` (l) is the threshold vector length.
 
-    ``S`` may be a dense matrix or a
-    :class:`~repro.core.blocking.SparseSimilarity`; on the sparse form the
-    global extrema are taken over the conceptual floor-filled matrix (the
-    floor stands in for the pruned pairs' similarity) and candidate scores
-    are looked up pair-by-pair.
+    ``S`` is a :class:`~repro.core.blocking.SparseSimilarity` (or a dense
+    matrix, wrapped over the full mask): the global extrema are taken over
+    the conceptual floor-filled matrix (the floor stands in for the pruned
+    pairs' similarity) and candidate scores are looked up pair by pair.
     """
-    is_sparse = isinstance(S, SparseSimilarity)
-    if not is_sparse:
-        S = np.asarray(S, dtype=np.float64)
+    S = as_similarity(S)
     if levels < 2:
         raise ConfigError(f"levels must be >= 2, got {levels}")
     if epsilon < 0:
@@ -81,7 +78,7 @@ def filter_candidates(
         if not cand:
             kept.append(None)
             continue
-        scores = S.scores_at(row, cand) if is_sparse else S[row, cand]
+        scores = S.scores_at(row, cand)
         chosen = None
         for t in thresholds:
             surviving = [c for c, s in zip(cand, scores) if s >= t]

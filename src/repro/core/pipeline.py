@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocking import SparseSimilarity
 from repro.core.config import DeHealthConfig
 from repro.core.deadline import check_deadline, deadline_scope
 from repro.core.filtering import filter_candidates
@@ -129,22 +128,23 @@ class DeHealth:
     # --- phase 1: Top-K DA ----------------------------------------------
 
     def similarity_scores(self):
-        """The scored similarity: a dense matrix (``blocking="none"``) or a
-        :class:`~repro.core.blocking.SparseSimilarity` over candidate pairs.
+        """The scored similarity, a
+        :class:`~repro.core.blocking.SparseSimilarity`: over the full mask
+        for ``blocking="none"``, over the candidate pairs otherwise.
         """
         self._require_fit()
         return self.similarity.scores()
 
     def similarity_matrix(self) -> np.ndarray:
-        """The full similarity matrix, densified if blocking is active.
+        """The similarity as a fresh ``n1 × n2`` array, pruned pairs at the
+        sparse floor.
 
-        With a blocking policy, pruned pairs come back at the sparse floor
-        and the densified copy costs one more ``n1 × n2`` array; prefer
-        :meth:`similarity_scores`, which holds the candidate pairs only.
+        Every call builds a new copy, for ``blocking="none"`` too (not the
+        cached block), so callers may modify it; the Top-K phase reads
+        :meth:`similarity_scores` instead.
         """
         self._require_fit()
-        S = self.similarity.scores()
-        return S.to_dense() if isinstance(S, SparseSimilarity) else S
+        return self.similarity.scores().to_dense()
 
     def blocking_stats(self) -> dict:
         """Pair-space accounting: pairs scored vs the full pair space."""
@@ -221,7 +221,6 @@ class DeHealth:
     def _deanonymize_checked(self, k: "int | None" = None) -> DAResult:
         candidates = self.top_k_candidates(k)
         S = self.similarity_scores()
-        sparse_scores = isinstance(S, SparseSimilarity)
         aux_index = {u: j for j, u in enumerate(self.auxiliary.users)}
         # phase-1 scores feed the refined pre-rank only when the cut is
         # active: the default path stays byte-identical to historical runs
@@ -248,17 +247,12 @@ class DeHealth:
                 continue
             cand_scores = None
             if prerank:
-                cand_cols = [aux_index[c] for c in cand]
-                cand_scores = (
-                    S.scores_at(i, cand_cols)
-                    if sparse_scores
-                    else S[i][cand_cols]
-                )
+                cand_scores = S.scores_at(i, [aux_index[c] for c in cand])
             winner, info = self._refined.deanonymize_user(
                 anon, cand, candidate_scores=cand_scores
             )
             if winner is not None and self.config.verification == "mean":
-                row = S.dense_row(i) if sparse_scores else S[i]
+                row = S.dense_row(i)
                 accepted = mean_verification(
                     row,
                     [aux_index[c] for c in cand],

@@ -13,18 +13,20 @@ Each component has one kernel, which builds its full ``n1 × n2`` block
 with vectorised NumPy/SciPy code; the weighted Jaccard uses a level-set
 decomposition (Σ min(a,b) = Σ_t |{a ≥ t} ∩ {b ≥ t}| for integer weights)
 so it reduces to a short series of sparse boolean matmuls.  The blocks
-are built once per split and cached, and both scoring paths read them:
+are built once per split and cached, and both scoring paths read them.
+Either way the Top-K phase receives one score type, a
+:class:`~repro.core.blocking.SparseSimilarity`:
 
 * **dense** — ``blocking="none"`` (the default) combines the whole blocks
-  into the ``n1 × n2`` matrix ``s_uv``;
+  into the ``n1 × n2`` matrix ``s_uv`` and hands it over as scores on the
+  full mask (a view of the cached block, no copy);
 * **blocked** — when a blocking policy (:mod:`repro.core.blocking`) prunes
-  the pair space, the result is a
-  :class:`~repro.core.blocking.SparseSimilarity` over the surviving
-  candidate pairs.  Its values are the component blocks sampled at those
-  pairs and combined in the dense order, so they equal the dense
-  ``s_uv`` at every candidate pair byte for byte.  No combined ``n1 × n2``
-  matrix is built for it; the component blocks are shared with the dense
-  path and every other policy of the split.
+  the pair space, the scores cover the surviving candidate pairs.  Their
+  values are the component blocks sampled at those pairs and combined in
+  the dense order, so they equal the dense ``s_uv`` at every candidate
+  pair byte for byte.  No combined ``n1 × n2`` matrix is built for them;
+  the component blocks are shared with the dense path and every other
+  policy of the split.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.blocking import CandidateMask, SparseSimilarity, build_candidates
-from repro.core.config import SimilarityWeights, parse_blocking
+from repro.core.config import BLOCKING_CHOICES, SimilarityWeights, parse_blocking
 from repro.graph.landmarks import landmark_closeness, select_landmarks
 from repro.graph.uda import UDAGraph
 
@@ -125,8 +127,9 @@ class SimilarityCache:
     """Shared store of similarity matrices for one anonymized/auxiliary pair.
 
     Keys are ``(kind, *params)`` tuples — ``("degree",)``,
-    ``("distance", n_landmarks)``, ``("attribute", cap)`` and
-    ``("combined", (c1, c2, c3), n_landmarks, cap)`` — so any number of
+    ``("distance", n_landmarks)``, ``("attribute", cap)``,
+    ``("combined", (c1, c2, c3), n_landmarks, cap)`` and ``("full_mask",)``,
+    the every-pair mask the dense scores are read through — so any number of
     :class:`SimilarityComputer` instances with different weights, knobs or
     blocking policies can share one cache and each matrix is computed at
     most once.  The three component blocks serve the dense path and every
@@ -258,7 +261,8 @@ class SimilarityComputer:
     component blocks into the dense matrix, any other policy builds a
     candidate mask (:func:`repro.core.blocking.build_candidates`) and
     combines the same blocks sampled at the masked pairs
-    (:meth:`combined_sparse`); :meth:`scores` dispatches.
+    (:meth:`combined_sparse`); :meth:`scores` returns either as a
+    :class:`SparseSimilarity`.
     """
 
     def __init__(
@@ -406,13 +410,17 @@ class SimilarityComputer:
     def blocking_key(self) -> tuple:
         """Hashable identity of the blocking policy and its parameters.
 
-        Composite policies concatenate their atoms' keys, so any distinct
-        parameterization — of any part — lands in its own cache slot.
+        Composite policies concatenate their atoms' keys in
+        :data:`BLOCKING_CHOICES` order, so every spelling of one OR of
+        masks (``union``, ``degree_band+attr_index``,
+        ``attr_index+degree_band``) shares a cache slot, while any
+        distinct parameterization — of any part — lands in its own.
         """
         if self.blocking == "none":
             return ("none",)
         key: tuple = ()
-        for atom in parse_blocking(self.blocking):
+        atoms = sorted(parse_blocking(self.blocking), key=BLOCKING_CHOICES.index)
+        for atom in atoms:
             key += self._atom_key(atom)
         return key
 
@@ -482,17 +490,25 @@ class SimilarityComputer:
             total += w.attribute * self.attribute_similarity()[rows, cols]
         return SparseSimilarity(mask, total)
 
-    def scores(self):
-        """Dense matrix or :class:`SparseSimilarity`, per the blocking policy."""
+    def scores(self) -> SparseSimilarity:
+        """The scores the Top-K phase reads, as one :class:`SparseSimilarity`.
+
+        For ``blocking="none"`` the cached :meth:`combined` block, raveled
+        without a copy, over the split's full mask (built once, cached as
+        ``("full_mask",)``); otherwise :meth:`combined_sparse`.
+        """
         if self.blocking == "none":
-            return self.combined()
+            mask = self.cache.get_or_build(
+                ("full_mask",),
+                lambda: CandidateMask.full(
+                    self.anonymized.n_users, self.auxiliary.n_users
+                ),
+            )
+            return SparseSimilarity(mask, self.combined().ravel())
         return self.combined_sparse()
 
     def score(self, anon_user: str, aux_user: str) -> float:
         """Similarity of one pair, by user id (floor if pruned by blocking)."""
         i = self.anonymized.index[anon_user]
         j = self.auxiliary.index[aux_user]
-        S = self.scores()
-        if isinstance(S, SparseSimilarity):
-            return float(S.scores_at(i, [j])[0])
-        return float(S[i, j])
+        return float(self.scores().scores_at(i, [j])[0])

@@ -9,35 +9,26 @@ Two strategies from the paper:
   anonymized user its partner as a candidate, remove those edges, and
   repeat K times.
 
-Every entry point accepts either a dense ``(n1 × n2)`` similarity matrix
-or a :class:`~repro.core.blocking.SparseSimilarity` (pair-level scores
-over a candidate mask).  On the sparse form, selection considers only the
-scored pairs: a pruned pair sits at the explicit floor and can never enter
-a candidate set, and a user whose row was pruned empty yields an empty
-candidate list.
+Every entry point reads one score type, a
+:class:`~repro.core.blocking.SparseSimilarity`: the similarity graph's
+edges are the scored pairs of its mask.  Dense scoring is the full mask;
+a blocking policy only removes edges, so a pruned pair can never enter a
+candidate set, and a user whose row was pruned empty yields an empty
+candidate list.  A dense ``(n1 × n2)`` array is accepted too and wrapped
+over the full mask (:meth:`~repro.core.blocking.SparseSimilarity.from_dense`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from repro.core.blocking import SparseSimilarity
+from repro.core.blocking import SparseSimilarity, as_similarity
 from repro.errors import ConfigError
 
 
-def _check(S: np.ndarray, k: int) -> np.ndarray:
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.size == 0:
-        raise ConfigError(f"similarity matrix must be non-empty 2-D, got {S.shape}")
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
-    return S
-
-
-def _check_sparse(S: SparseSimilarity, k: int) -> SparseSimilarity:
+def _check(S, k: int) -> SparseSimilarity:
+    S = as_similarity(S)
     if S.shape[0] == 0 or S.shape[1] == 0:
         raise ConfigError(f"similarity must be non-empty 2-D, got {S.shape}")
     if k < 1:
@@ -48,31 +39,19 @@ def _check_sparse(S: SparseSimilarity, k: int) -> SparseSimilarity:
 def direct_top_k(S, k: int) -> list[list[int]]:
     """Per-row indices of the K highest-scoring columns, best first.
 
-    On a :class:`SparseSimilarity`, only scored (candidate) pairs compete;
-    rows with fewer than K candidates return all of them, best first.
+    Only scored (candidate) pairs compete; rows with fewer than K
+    candidates return all of them, best first.
     """
-    if isinstance(S, SparseSimilarity):
-        return _direct_top_k_sparse(_check_sparse(S, k), k)
     S = _check(S, k)
-    k = min(k, S.shape[1])
-    part = np.argpartition(-S, k - 1, axis=1)[:, :k]
+    m = S.mask.matrix
+    indptr = m.indptr.tolist()
     out: list[list[int]] = []
-    for i in range(S.shape[0]):
-        cols = part[i]
-        order = np.argsort(-S[i, cols], kind="stable")
-        out.append([int(c) for c in cols[order]])
-    return out
-
-
-def _direct_top_k_sparse(S: SparseSimilarity, k: int) -> list[list[int]]:
-    out: list[list[int]] = []
-    for i in range(S.shape[0]):
-        cols, vals = S.row(i)
-        if len(cols) > k:
-            part = np.argpartition(-vals, k - 1)[:k]
-            cols, vals = cols[part], vals[part]
-        order = np.argsort(-vals, kind="stable")
-        out.append([int(c) for c in cols[order]])
+    for lo, hi in zip(indptr, indptr[1:]):
+        cols, neg = m.indices[lo:hi], -S.values[lo:hi]
+        if hi - lo > k:
+            part = np.argpartition(neg, k - 1)[:k]
+            cols, neg = cols[part], neg[part]
+        out.append(cols[np.argsort(neg, kind="stable")].tolist())
     return out
 
 
@@ -85,21 +64,15 @@ def matching_top_k(S, k: int) -> list[list[int]]:
     selection, two anonymized users cannot claim the same auxiliary user in
     the same round, which spreads candidates across contested columns.
 
-    On a :class:`SparseSimilarity` the assignment runs on the sparse
-    candidate graph itself (``scipy.sparse.csgraph``'s full bipartite
-    matching over only the scored pairs), so blocking's memory win covers
-    matching selection: no ``n1 × n2`` matrix is materialized.  When a
-    round's remaining candidate graph has no perfect matching of the
-    smaller side, that round and the rest fall back to the dense
-    assignment solver — the only case that still densifies.
+    The rounds run the dense assignment solver on a copy of the scores
+    with every unscored pair at ``-1e18``: the solver never prefers such
+    a pair to a scored one, and a row left with only unscored pairs gets
+    no further candidates.
     """
-    neg_inf = -1e18
-    if isinstance(S, SparseSimilarity):
-        _check_sparse(S, k)
-        return _matching_top_k_sparse(S, k, neg_inf)
     S = _check(S, k)
+    neg_inf = -1e18
     return _order_candidates(
-        _matching_rounds(S.copy(), k, neg_inf), lambda r, cand: S[r, cand]
+        _matching_rounds(S.to_dense(floor=neg_inf), k, neg_inf), S.scores_at
     )
 
 
@@ -137,74 +110,6 @@ def _order_candidates(candidates: list, scores_at) -> list[list[int]]:
     return candidates
 
 
-def _sparse_matching_fallback(
-    S: SparseSimilarity, k_remaining: int, alive: np.ndarray, neg_inf: float
-) -> list[list[int]]:
-    """Finish the assignment rounds densely once no perfect matching exists.
-
-    The dense solver's semantics differ exactly here: rows left without
-    real edges absorb masked (``neg_inf``) assignments and are skipped,
-    while every row that still has candidates keeps getting them.  This is
-    the only sparse-matching path that materializes an ``n1 × n2`` array.
-    """
-    rows, cols = S.mask.pair_arrays()
-    dense = np.full(S.shape, neg_inf, dtype=np.float64)
-    dense[rows[alive], cols[alive]] = S.values[alive]
-    return _matching_rounds(dense, k_remaining, neg_inf)
-
-
-def _matching_top_k_sparse(
-    S: SparseSimilarity, k: int, neg_inf: float
-) -> list[list[int]]:
-    """Assignment rounds on the candidate graph, no densification.
-
-    Each round solves a maximum-weight *full* matching of the smaller side
-    over the still-alive candidate pairs.  Edge weights are shifted to be
-    strictly positive — a full matching has fixed cardinality, so a uniform
-    shift never changes which matching is maximal, and it keeps genuine
-    0.0 scores from being dropped as missing edges by the CSR solver.
-    Matches the dense solver pair-for-pair whenever each round's graph
-    admits a perfect matching (the dense optimum then uses no masked edge).
-    """
-    n1, n2 = S.shape
-    k = min(k, n2)
-    m = S.mask.matrix
-    pair_rows, pair_cols = S.mask.pair_arrays()
-    values = S.values
-    shifted = (
-        values - (values.min() if len(values) else 0.0) + 1.0
-    )
-    alive = np.ones(len(values), dtype=bool)
-    candidates: list[list[int]] = [[] for _ in range(n1)]
-    indptr_full = m.indptr
-    indices_full = m.indices
-    for round_no in range(k):
-        if not alive.any():
-            break
-        row_counts = np.bincount(pair_rows[alive], minlength=n1)
-        indptr = np.zeros(n1 + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
-        biadj = csr_matrix(
-            (shifted[alive], pair_cols[alive], indptr), shape=(n1, n2)
-        )
-        try:
-            r_ind, c_ind = min_weight_full_bipartite_matching(
-                biadj, maximize=True
-            )
-        except ValueError:
-            # no perfect matching of the smaller side remains
-            rest = _sparse_matching_fallback(S, k - round_no, alive, neg_inf)
-            for r, extra in enumerate(rest):
-                candidates[r].extend(extra)
-            break
-        for r, c in zip(r_ind, c_ind):
-            candidates[r].append(int(c))
-            lo, hi = indptr_full[r], indptr_full[r + 1]
-            pos = lo + np.searchsorted(indices_full[lo:hi], c)
-            alive[pos] = False
-    return _order_candidates(candidates, S.scores_at)
-
-
 def true_match_ranks(
     S,
     anon_ids: list[str],
@@ -219,53 +124,38 @@ def true_match_ranks(
     ``None``.  This is exactly what the Fig 3 / Fig 5 CDFs integrate: the
     Top-K DA of user u succeeds iff rank(u) <= K.
 
-    On a :class:`SparseSimilarity`, unscored pairs count at the floor: a
-    true match pruned by blocking ranks behind every scored pair and ties
-    (pessimistically) with all other unscored pairs.
+    Unscored pairs count at the floor: a true match pruned by blocking
+    ranks behind every scored pair and ties (pessimistically) with all
+    other unscored pairs.
     """
-    if isinstance(S, SparseSimilarity):
-        return _true_match_ranks_sparse(S, anon_ids, aux_ids, truth_mapping)
-    S = np.asarray(S, dtype=np.float64)
+    S = as_similarity(S)
     if S.shape != (len(anon_ids), len(aux_ids)):
         raise ConfigError(
             f"similarity shape {S.shape} does not match id lists "
             f"({len(anon_ids)}, {len(aux_ids)})"
         )
     aux_index = {u: j for j, u in enumerate(aux_ids)}
+    target = [aux_index.get(truth_mapping.get(anon), -1) for anon in anon_ids]
+    # every row's true-match score in one pass: a row holds its target
+    # column at most once, and a pruned target keeps the floor
+    m = S.mask.matrix
+    counts = np.diff(m.indptr)
+    hit = np.flatnonzero(
+        m.indices == np.repeat(np.array(target, dtype=np.int64), counts)
+    )
+    score = np.full(len(anon_ids), S.floor)
+    score[np.searchsorted(m.indptr, hit, side="right") - 1] = S.values[hit]
+    n2, floor, values = S.shape[1], S.floor, S.values
+    bounds = m.indptr.tolist()
     ranks: dict = {}
-    for i, anon in enumerate(anon_ids):
-        target = truth_mapping.get(anon)
-        if target is None or target not in aux_index:
+    for anon, col, s, lo, hi in zip(
+        anon_ids, target, score.tolist(), bounds, bounds[1:]
+    ):
+        if col < 0:
             ranks[anon] = None
             continue
-        score = S[i, aux_index[target]]
-        ranks[anon] = int((S[i] >= score).sum())
-    return ranks
-
-
-def _true_match_ranks_sparse(
-    S: SparseSimilarity,
-    anon_ids: list[str],
-    aux_ids: list[str],
-    truth_mapping: dict,
-) -> dict:
-    if S.shape != (len(anon_ids), len(aux_ids)):
-        raise ConfigError(
-            f"similarity shape {S.shape} does not match id lists "
-            f"({len(anon_ids)}, {len(aux_ids)})"
-        )
-    aux_index = {u: j for j, u in enumerate(aux_ids)}
-    n2 = S.shape[1]
-    ranks: dict = {}
-    for i, anon in enumerate(anon_ids):
-        target = truth_mapping.get(anon)
-        if target is None or target not in aux_index:
-            ranks[anon] = None
-            continue
-        cols, vals = S.row(i)
-        score = float(S.scores_at(i, [aux_index[target]])[0])
-        rank = int((vals >= score).sum())
-        if S.floor >= score:
-            rank += n2 - len(cols)  # unscored pairs tie in (pessimistic)
+        rank = int(np.count_nonzero(values[lo:hi] >= s))
+        if floor >= s:
+            rank += n2 - (hi - lo)  # unscored pairs tie in (pessimistic)
         ranks[anon] = rank
     return ranks

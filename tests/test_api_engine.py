@@ -215,6 +215,8 @@ class TestSweepCaching:
         assert builds["degree"] == builds["distance"] == 1
         assert builds["attribute"] == 1
         assert "landmarks" not in builds
+        # both dense weight vectors read their scores through one mask
+        assert builds["full_mask"] == 1
 
     def test_clear_similarity_cache(self, tiny_corpus):
         eng = Engine()

