@@ -12,8 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter, itemgetter
 
-from repro.core.config import UNION_ATOMS, DeHealthConfig, SimilarityWeights
+from repro.core.config import (
+    ALWAYS,
+    CHANGED,
+    KNOBS,
+    DeHealthConfig,
+    active_atoms,
+    check_knobs,
+)
 from repro.errors import ConfigError
 
 #: Split worlds an :class:`AttackRequest` can ask for.
@@ -31,72 +39,47 @@ DEFAULT_TENANT = "default"
 VOLATILE_REPORT_FIELDS: tuple = ("elapsed_ms", "reused_fit")
 
 
-def _weights_tuple(value) -> tuple:
-    """Normalise any weights spelling to a ``(c1, c2, c3)`` float tuple."""
-    if isinstance(value, SimilarityWeights):
-        return (value.degree, value.distance, value.attribute)
-    if isinstance(value, dict):
-        unknown = set(value) - {"degree", "distance", "attribute"}
-        if unknown:
-            raise ConfigError(
-                f"unknown weight keys {sorted(unknown)}; "
-                "expected degree/distance/attribute"
-            )
-        return (
-            float(value.get("degree", 0.0)),
-            float(value.get("distance", 0.0)),
-            float(value.get("attribute", 0.0)),
+def _with_knobs(cls):
+    """Give ``cls`` one field per :data:`~repro.core.config.KNOBS` entry,
+    after its own fields, defaulting to the knob's default (coerced).
+    Apply it under ``@dataclass``."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    config_types = {f.name: f.type for f in fields(DeHealthConfig)}
+    for spec in KNOBS:
+        default = spec.coerce(spec.default) if spec.coerce else spec.default
+        annotations[spec.name] = (
+            type(default).__name__ if spec.coerce else config_types[spec.name]
         )
-    try:
-        out = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"weights must be three numbers, got {value!r}") from exc
-    if len(out) != 3:
-        raise ConfigError(f"weights must have exactly 3 entries, got {len(out)}")
-    return out
+        setattr(cls, spec.name, default)
+    cls.__annotations__ = annotations
+    return cls
 
 
 @dataclass(frozen=True)
+@_with_knobs
 class AttackRequest:
     """One attack variant: corpus reference + split spec + pipeline knobs.
 
     ``corpus`` names a dataset registered with the :class:`~repro.api.Engine`;
     ``world``/``aux_fraction``/``overlap_ratio``/``split_seed`` determine the
     Δ1/Δ2 split (and therefore which cached :class:`~repro.api.AttackSession`
-    serves the request); everything else maps 1:1 onto
-    :class:`~repro.core.DeHealthConfig`.  ``ks`` lists the K values the
-    report's success rates are evaluated at (defaults to ``(1, 5, top_k)``);
+    serves the request).  ``ks`` lists the K values the report's success
+    rates are evaluated at (defaults to ``(1, 5, top_k)``);
     ``refined=False`` stops after the Top-K phase.
 
-    ``blocking`` selects the candidate-generation policy of the Top-K
-    phase (``"none"`` = exact dense scoring; single policies or ``"+"``
-    composites like ``"lsh+degree_band"``; see
-    :mod:`repro.core.blocking`).  The blocking fields serialize only when
-    a policy is active — and the ANN knobs (``blocking_lsh_bands`` /
-    ``blocking_lsh_rows`` for ``lsh``, ``blocking_ann_m`` /
-    ``blocking_ann_ef`` for ``ann_graph``, ``blocking_seed`` for either)
-    only when their policy atom is — so default (dense) requests keep
-    their historical wire format — and the golden canonical report JSON —
-    byte-identical.
-
-    ``refined_keep_fraction`` pre-ranks the refined phase: each
-    candidate set is cut to its top ``ceil(fraction × |Cu|)`` entries by
-    phase-1 similarity before any classifier is trained (``1.0`` = no
-    cut, the historical behaviour).  It serializes only when active —
-    and is normalized back to ``1.0`` when ``refined=False``, where it
-    has nothing to act on — so default requests keep their wire format.
-
-    ``extract_workers`` is the process-pool width of the phase-0 feature
-    extraction (``1`` = serial, ``0`` = one per core).  A pure
-    performance knob — extraction is byte-identical at any width — so it
-    too serializes only when non-default.
-
-    ``request_deadline_s`` is the per-request wall-clock watchdog
-    (:mod:`repro.core.deadline`): past it the pipeline raises a
-    structured :class:`~repro.errors.DeadlineExceeded` at the next stage
-    boundary.  An ops knob, not science — a run that finishes in time is
-    byte-identical either way — so it serializes only when set and
-    default requests keep their historical wire format and hashes.
+    The remaining fields are the pipeline knobs, one per
+    :class:`~repro.core.config.Knob` of :data:`~repro.core.config.KNOBS`,
+    with the same names and defaults as
+    :class:`~repro.core.DeHealthConfig`'s; :meth:`to_config` hands them
+    over.  Each knob's declaration decides the rest.  A knob that no
+    active atom reads — a blocking parameter of a policy the request does
+    not name, ``refined_keep_fraction`` with ``refined=False`` — is reset
+    to its default, so requests that behave alike compare equal and
+    ``to_dict``/``from_dict`` is a strict round-trip.  A knob travels on
+    the wire always, while one of its atoms is active, or while it is not
+    at its default, as its wire rule says; so a request that leaves the
+    blocking, pre-rank, extraction-width and deadline knobs alone keeps
+    the wire form and the hash it had before they existed.
     """
 
     corpus: str = "default"
@@ -104,108 +87,23 @@ class AttackRequest:
     aux_fraction: float = 0.5
     overlap_ratio: float = 0.5
     split_seed: int = 0
-    top_k: int = 10
-    selection: str = "direct"
-    classifier: str = "smo"
-    weights: tuple = (0.05, 0.05, 0.90)
-    n_landmarks: int = 50  # matches the DeHealthConfig corpus-scale default
-    attribute_weight_cap: int = 64
-    filtering: bool = False
-    filter_epsilon: float = 0.01
-    filter_levels: int = 10
-    verification: "str | None" = None
-    verification_r: float = 0.25
-    false_addition_count: "int | None" = None
-    use_structural_features: bool = True
     refined: bool = True
-    refined_keep_fraction: float = 1.0
     ks: tuple = ()
-    blocking: str = "none"
-    blocking_band_width: float = 1.0
-    blocking_min_shared: int = 1
-    blocking_keep: float = 0.2
-    blocking_lsh_bands: int = 48
-    blocking_lsh_rows: int = 6
-    blocking_ann_m: int = 12
-    blocking_ann_ef: int = 48
-    blocking_seed: int = 0
-    extract_workers: int = 1
-    request_deadline_s: "float | None" = None
-    seed: int = 0
-
-    def _blocking_atoms(self) -> set:
-        """The policy atoms named by ``blocking``, leniently split, with
-        ``"union"`` spelled out as its parts.
-
-        Validation happens in :meth:`validate` (via the config); this
-        helper only decides which knobs are *relevant*, so construction of
-        a not-yet-validated request never raises.
-        """
-        if not isinstance(self.blocking, str):
-            return set()
-        atoms = {part.strip() for part in self.blocking.split("+")}
-        if "union" in atoms:
-            atoms.update(UNION_ATOMS)
-        return atoms
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _weights_tuple(self.weights))
+        for spec in _COERCED:
+            object.__setattr__(self, spec.name, spec.coerce(getattr(self, spec.name)))
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        # normalize inert policy parameters so equal-behaviour requests
-        # compare equal and to_dict/from_dict stays a strict round-trip
-        # (a knob is omitted from the wire whenever no active policy atom
-        # reads it)
-        atoms = self._blocking_atoms()
-        if "degree_band" not in atoms:
-            object.__setattr__(self, "blocking_band_width", 1.0)
-        if "attr_index" not in atoms:
-            object.__setattr__(self, "blocking_min_shared", 1)
-        if not atoms & {"attr_index", "lsh", "ann_graph"}:
-            object.__setattr__(self, "blocking_keep", 0.2)
-        if "lsh" not in atoms:
-            object.__setattr__(self, "blocking_lsh_bands", 48)
-            object.__setattr__(self, "blocking_lsh_rows", 6)
-        if "ann_graph" not in atoms:
-            object.__setattr__(self, "blocking_ann_m", 12)
-            object.__setattr__(self, "blocking_ann_ef", 48)
-        if not atoms & {"lsh", "ann_graph"}:
-            object.__setattr__(self, "blocking_seed", 0)
-        # the refined pre-rank knob is meaningless without a refined phase
-        if not self.refined:
-            object.__setattr__(self, "refined_keep_fraction", 1.0)
+        atoms = active_atoms(self, self.refined)
+        for spec in _SCOPED:
+            if spec.atoms.isdisjoint(atoms):
+                object.__setattr__(self, spec.name, spec.default)
 
     # --- validation / conversion ---------------------------------------
 
     def to_config(self) -> DeHealthConfig:
         """The :class:`DeHealthConfig` this request describes (validated)."""
-        config = DeHealthConfig(
-            weights=SimilarityWeights(*self.weights),
-            n_landmarks=self.n_landmarks,
-            top_k=self.top_k,
-            selection=self.selection,
-            filtering=self.filtering,
-            filter_epsilon=self.filter_epsilon,
-            filter_levels=self.filter_levels,
-            classifier=self.classifier,
-            use_structural_features=self.use_structural_features,
-            verification=self.verification,
-            verification_r=self.verification_r,
-            false_addition_count=self.false_addition_count,
-            attribute_weight_cap=self.attribute_weight_cap,
-            blocking=self.blocking,
-            blocking_band_width=self.blocking_band_width,
-            blocking_min_shared=self.blocking_min_shared,
-            blocking_keep=self.blocking_keep,
-            blocking_lsh_bands=self.blocking_lsh_bands,
-            blocking_lsh_rows=self.blocking_lsh_rows,
-            blocking_ann_m=self.blocking_ann_m,
-            blocking_ann_ef=self.blocking_ann_ef,
-            blocking_seed=self.blocking_seed,
-            refined_keep_fraction=self.refined_keep_fraction,
-            extract_workers=self.extract_workers,
-            request_deadline_s=self.request_deadline_s,
-            seed=self.seed,
-        )
+        config = DeHealthConfig(*_knob_values(self))  # fields in KNOBS order
         config.validate()
         return config
 
@@ -225,7 +123,7 @@ class AttackRequest:
         for k in self.ks:
             if k < 1:
                 raise ConfigError(f"evaluation ks must be >= 1, got {k}")
-        self.to_config()
+        check_knobs(self)
         return self
 
     def evaluation_ks(self) -> tuple:
@@ -246,63 +144,20 @@ class AttackRequest:
     # --- wire format ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload = {
-            "corpus": self.corpus,
-            "world": self.world,
-            "aux_fraction": self.aux_fraction,
-            "overlap_ratio": self.overlap_ratio,
-            "split_seed": self.split_seed,
-            "top_k": self.top_k,
-            "selection": self.selection,
-            "classifier": self.classifier,
-            "weights": list(self.weights),
-            "n_landmarks": self.n_landmarks,
-            "attribute_weight_cap": self.attribute_weight_cap,
-            "filtering": self.filtering,
-            "filter_epsilon": self.filter_epsilon,
-            "filter_levels": self.filter_levels,
-            "verification": self.verification,
-            "verification_r": self.verification_r,
-            "false_addition_count": self.false_addition_count,
-            "use_structural_features": self.use_structural_features,
-            "refined": self.refined,
-            "ks": list(self.ks),
-            "seed": self.seed,
-        }
-        # The blocking fields are serialized only when a policy is active:
-        # default (dense) requests keep the pre-blocking wire format, so
-        # checked-in goldens and external clients are unaffected.  The ANN
-        # knobs are likewise scoped to their own policies, so attr_index /
-        # degree_band requests keep their pre-ANN wire format.
-        if self.blocking != "none":
-            payload["blocking"] = self.blocking
-            atoms = self._blocking_atoms()
-            if "degree_band" in atoms:
-                payload["blocking_band_width"] = self.blocking_band_width
-            if "attr_index" in atoms:
-                payload["blocking_min_shared"] = self.blocking_min_shared
-            if atoms & {"attr_index", "lsh", "ann_graph"}:
-                payload["blocking_keep"] = self.blocking_keep
-            if "lsh" in atoms:
-                payload["blocking_lsh_bands"] = self.blocking_lsh_bands
-                payload["blocking_lsh_rows"] = self.blocking_lsh_rows
-            if "ann_graph" in atoms:
-                payload["blocking_ann_m"] = self.blocking_ann_m
-                payload["blocking_ann_ef"] = self.blocking_ann_ef
-            if atoms & {"lsh", "ann_graph"}:
-                payload["blocking_seed"] = self.blocking_seed
-        # Serialized only when the pre-rank cut is active: default
-        # requests keep the historical wire format (and hashes).
-        if self.refined_keep_fraction != 1.0:
-            payload["refined_keep_fraction"] = self.refined_keep_fraction
-        # Performance knob, not science: serialized only when non-default,
-        # so default requests keep the historical wire format.
-        if self.extract_workers != 1:
-            payload["extract_workers"] = self.extract_workers
-        # Watchdog knob, not science: serialized only when armed, so
-        # default requests keep the historical wire format (and hashes).
-        if self.request_deadline_s is not None:
-            payload["request_deadline_s"] = self.request_deadline_s
+        """The wire form: every field the wire rules put there, tuples as
+        lists."""
+        values = self.__dict__
+        payload = dict(zip(_ALWAYS, _always_values(values)))
+        for name in _LISTS:
+            payload[name] = list(payload[name])
+        atoms = active_atoms(self, self.refined)
+        for spec, value in zip(_OPTIONAL, _optional_values(values)):
+            if (
+                value != spec.default
+                if spec.wire == CHANGED
+                else not spec.atoms.isdisjoint(atoms)
+            ):
+                payload[spec.name] = value
         return payload
 
     @classmethod
@@ -311,8 +166,7 @@ class AttackRequest:
             raise ConfigError(
                 f"attack request must be a JSON object, got {type(payload).__name__}"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        unknown = payload.keys() - _FIELD_NAMES
         if unknown:
             raise ConfigError(f"unknown attack request fields: {sorted(unknown)}")
         try:
@@ -321,6 +175,26 @@ class AttackRequest:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad attack request: {exc}") from exc
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(AttackRequest))
+_KNOB_NAMES = tuple(spec.name for spec in KNOBS)
+_knob_values = attrgetter(*_KNOB_NAMES)
+_COERCED = tuple(spec for spec in KNOBS if spec.coerce)
+_SCOPED = tuple(spec for spec in KNOBS if spec.atoms)
+#: Fields always on the wire (every request-only field, then the knobs
+#: whose wire rule is ALWAYS), the tuple-valued ones among them, and the
+#: knobs whose wire rule depends on the request.
+_ALWAYS = tuple(
+    f.name for f in fields(AttackRequest) if f.name not in _KNOB_NAMES
+) + tuple(spec.name for spec in KNOBS if spec.wire == ALWAYS)
+_always_values = itemgetter(*_ALWAYS)
+_LISTS = tuple(
+    f.name for f in fields(AttackRequest)
+    if f.name in _ALWAYS and isinstance(f.default, tuple)
+)
+_OPTIONAL = tuple(spec for spec in KNOBS if spec.wire != ALWAYS)
+_optional_values = itemgetter(*(spec.name for spec in _OPTIONAL))
 
 
 def request_hash(request: AttackRequest) -> str:

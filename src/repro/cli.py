@@ -42,44 +42,40 @@ import sys
 from pathlib import Path
 
 from repro.api import (
-    BLOCKING_CHOICES,
     AttackRequest,
     Engine,
     canonical_report_json,
     expand_matrix,
 )
+from repro.core.config import KNOBS, Knob
 from repro.errors import ConfigError
 from repro.experiments import run_fig1, run_fig2, run_fig7
 from repro.forum import load_dataset, save_dataset
 
 
-def _parse_blocking_arg(text: str) -> str:
-    """Validated blocking policy spec (argparse ``type=``).
-
-    Accepts any :data:`~repro.api.BLOCKING_CHOICES` member or a
-    ``"+"``-composite like ``lsh+degree_band``; rejects unknown policies
-    at parse time so typos fail before a corpus is loaded.
-    """
-    from repro.core.config import parse_blocking
-
-    try:
-        parse_blocking(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return text
+#: The knobs ``sweep`` can force onto every variant of its matrix.
+SWEEP_OVERRIDES: tuple = ("blocking", "refined_keep_fraction", "extract_workers")
 
 
-def _parse_weights(text: str) -> tuple:
-    """``"c1,c2,c3"`` -> float triple (argparse ``type=``)."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"--weights needs three comma-separated numbers, got {text!r}"
-        )
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad --weights {text!r}: {exc}") from exc
+def _add_knob_flag(parser: argparse.ArgumentParser, spec: Knob, **overrides) -> None:
+    """Add ``spec``'s flag to ``parser``, with the knob's default, bound
+    choices and parser unless ``overrides`` says otherwise."""
+    options = {"dest": spec.name, "default": spec.default, "help": spec.help}
+    if spec.metavar:
+        options["metavar"] = spec.metavar
+    if spec.choices:
+        options["choices"] = spec.choices
+    elif spec.parse:
+        def parse(text: str, parse=spec.parse):
+            try:
+                return parse(text)
+            except ConfigError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from exc
+
+        options["type"] = parse
+    else:
+        options["type"] = type(spec.default)
+    parser.add_argument(spec.flag, **{**options, **overrides})
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -113,32 +109,17 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     engine.register("cli", load_dataset(args.corpus))
     request = AttackRequest(
         corpus="cli",
-        world="closed",
         aux_fraction=args.aux_fraction,
         split_seed=args.seed,
-        top_k=args.top_k,
-        selection=args.selection,
-        classifier=args.classifier,
-        weights=args.weights,
-        n_landmarks=args.landmarks,
         refined=not args.skip_refined,
-        refined_keep_fraction=args.refined_keep,
-        ks=tuple(sorted({1, 5, args.top_k})),
-        blocking=args.blocking,
-        blocking_keep=args.blocking_keep,
-        blocking_lsh_bands=args.lsh_bands,
-        blocking_lsh_rows=args.lsh_rows,
-        blocking_ann_m=args.ann_m,
-        blocking_ann_ef=args.ann_ef,
-        blocking_seed=args.blocking_seed,
-        extract_workers=args.extract_workers,
-        seed=args.seed,
+        **{spec.name: getattr(args, spec.name) for spec in KNOBS if spec.flag},
     )
+    request = request.variant(ks=request.evaluation_ks())
     report = engine.attack(request)
     print(f"anonymized users: {report.n_anonymized}")
-    for k in (1, 5, args.top_k):
+    for k in (1, 5, request.top_k):
         print(f"top-{k} success: {report.success_rate(k):.1%}")
-    if not args.skip_refined:
+    if request.refined:
         print(f"refined DA accuracy: {report.refined_accuracy:.1%}")
     return 0
 
@@ -179,18 +160,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     engine = Engine()
     engine.register("cli", load_dataset(args.corpus))
     requests = load_matrix_requests(args.matrix, default_corpus="cli")
-    if args.blocking is not None:
-        # CLI override: force one candidate-blocking policy onto every
-        # variant of the matrix (matrix-spec fields win when unset).
-        requests = [r.variant(blocking=args.blocking) for r in requests]
-    if args.refined_keep is not None:
-        requests = [
-            r.variant(refined_keep_fraction=args.refined_keep) for r in requests
-        ]
-    if args.extract_workers is not None:
-        requests = [
-            r.variant(extract_workers=args.extract_workers) for r in requests
-        ]
+    # CLI overrides: force a knob onto every variant of the matrix
+    # (matrix-spec fields win when unset)
+    overrides = {
+        spec.name: getattr(args, spec.name)
+        for spec in KNOBS
+        if getattr(args, spec.name, None) is not None
+    }
+    if overrides:
+        requests = [r.variant(**overrides) for r in requests]
     reports = engine.sweep(requests, parallel=args.workers)
     for report in reports:
         request = report.request
@@ -455,69 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser("attack", help="run De-Health on a corpus")
     attack.add_argument("corpus", help="JSONL corpus path")
-    attack.add_argument("--top-k", type=int, default=10)
-    attack.add_argument("--aux-fraction", type=float, default=0.5)
-    attack.add_argument("--landmarks", type=int, default=20)
     attack.add_argument(
-        "--classifier", choices=("knn", "smo", "rlsc", "centroid"), default="knn"
+        "--aux-fraction", type=float, default=AttackRequest.aux_fraction
     )
-    attack.add_argument(
-        "--selection", choices=("direct", "matching"), default="direct",
-        help="Top-K candidate selection strategy",
-    )
-    attack.add_argument(
-        "--weights", type=_parse_weights, default=(0.05, 0.05, 0.90),
-        metavar="C1,C2,C3",
-        help="similarity weights: degree, distance, attribute",
-    )
-    attack.add_argument("--seed", type=int, default=0)
     attack.add_argument(
         "--skip-refined", action="store_true",
         help="only run the Top-K phase",
     )
-    attack.add_argument(
-        "--refined-keep", type=float, default=1.0, metavar="F",
-        help="pre-rank the refined phase: classify only the top "
-             "ceil(F × |Cu|) of each candidate set by phase-1 similarity "
-             "(1.0 = classify everything, the historical behaviour)",
-    )
-    attack.add_argument(
-        "--blocking", type=_parse_blocking_arg, default="none",
-        metavar="POLICY",
-        help="candidate-blocking policy for the Top-K phase: one of "
-             f"{'|'.join(BLOCKING_CHOICES)} or a '+'-composite like "
-             "lsh+degree_band (none = exact dense scoring)",
-    )
-    attack.add_argument(
-        "--blocking-keep", type=float, default=0.2, metavar="F",
-        help="per-user candidate cap as a fraction of the auxiliary side "
-             "(attr_index/lsh/ann_graph policies)",
-    )
-    attack.add_argument(
-        "--lsh-bands", type=int, default=48, metavar="B",
-        help="LSH bucket bands (blocking=lsh)",
-    )
-    attack.add_argument(
-        "--lsh-rows", type=int, default=6, metavar="R",
-        help="SimHash bits per LSH band (blocking=lsh)",
-    )
-    attack.add_argument(
-        "--ann-m", type=int, default=12, metavar="M",
-        help="NSW edges per node (blocking=ann_graph)",
-    )
-    attack.add_argument(
-        "--ann-ef", type=int, default=48, metavar="EF",
-        help="NSW search beam width (blocking=ann_graph)",
-    )
-    attack.add_argument(
-        "--blocking-seed", type=int, default=0, metavar="S",
-        help="seed of the LSH hyperplanes / ANN insertion order",
-    )
-    attack.add_argument(
-        "--extract-workers", type=int, default=1, metavar="N",
-        help="process-pool width of phase-0 feature extraction "
-             "(1 = serial, 0 = one per core; output is byte-identical)",
-    )
+    for spec in KNOBS:
+        if spec.flag:
+            _add_knob_flag(attack, spec)
     attack.set_defaults(func=_cmd_attack)
 
     sweep = sub.add_parser(
@@ -539,24 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write merged reports as canonical JSON (deterministic, "
              "timing fields dropped)",
     )
-    sweep.add_argument(
-        "--blocking", type=_parse_blocking_arg, default=None,
-        metavar="POLICY",
-        help="force a candidate-blocking policy onto every matrix variant "
-             f"({'|'.join(BLOCKING_CHOICES)} or a '+'-composite; "
-             "default: whatever the matrix spec says)",
-    )
-    sweep.add_argument(
-        "--refined-keep", type=float, default=None, metavar="F",
-        help="force a refined pre-rank fraction onto every matrix variant "
-             "(classify the top ceil(F × |Cu|) of each candidate set; "
-             "default: whatever the matrix spec says)",
-    )
-    sweep.add_argument(
-        "--extract-workers", type=int, default=None, metavar="N",
-        help="force an extraction pool width onto every matrix variant "
-             "(1 = serial, 0 = one per core; output is byte-identical)",
-    )
+    for spec in KNOBS:
+        if spec.name in SWEEP_OVERRIDES:
+            _add_knob_flag(
+                sweep, spec, default=None,
+                help=f"{spec.help}; forced onto every matrix variant "
+                     "(default: whatever the matrix spec says)",
+            )
     sweep.set_defaults(func=_cmd_sweep)
 
     linkage = sub.add_parser("linkage", help="run the linkage attack campaign")

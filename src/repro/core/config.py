@@ -1,8 +1,22 @@
-"""Configuration objects for the De-Health pipeline."""
+"""Configuration objects for the De-Health pipeline.
+
+Every knob of the attack is declared once, as a :class:`DeHealthConfig`
+field made by :func:`knob`: its name and type, default and bound, the
+blocking atoms that read it, its wire rule and its ``repro-dehealth
+attack`` flag.  :data:`KNOBS` lists the declarations in field order, and
+the rest is derived from it: :class:`repro.api.AttackRequest` carries one
+field per knob and normalizes, serializes and converts them by their
+declarations; the similarity cache keys each blocking atom by the knobs
+that read it; and the ``attack`` subcommand has one flag per knob that
+declares one, with the knob's default.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, call
+from typing import Any, Callable
 
 from repro.errors import ConfigError
 
@@ -30,6 +44,7 @@ BLOCKING_CHOICES: tuple[str, ...] = (
 #: The atoms ``"union"`` stands for: :func:`parse_blocking` spells it out
 #: as these, while requests and ``/stats`` keep the name ``"union"``.
 UNION_ATOMS: tuple[str, ...] = ("degree_band", "attr_index")
+_SINGLE_ATOMS = frozenset(BLOCKING_CHOICES) - {"union"}
 
 
 def parse_blocking(policy) -> tuple:
@@ -43,6 +58,8 @@ def parse_blocking(policy) -> tuple:
     already named: ``"union+degree_band"`` -> ``("degree_band",
     "attr_index")``.
     """
+    if policy in _SINGLE_ATOMS:
+        return (policy,)
     if not isinstance(policy, str) or not policy:
         raise ConfigError(
             f"blocking policy must be one of {BLOCKING_CHOICES} "
@@ -70,6 +87,52 @@ def parse_blocking(policy) -> tuple:
     return expanded
 
 
+def blocking_spec(text: str) -> str:
+    """``text`` itself once :func:`parse_blocking` accepts it."""
+    parse_blocking(text)
+    return text
+
+
+def weights_tuple(value) -> tuple:
+    """Normalise any weights spelling to a ``(c1, c2, c3)`` float tuple:
+    a :class:`SimilarityWeights`, a dict with degree/distance/attribute
+    keys (missing ones are 0.0), or any three numbers."""
+    if isinstance(value, SimilarityWeights):
+        return (value.degree, value.distance, value.attribute)
+    if isinstance(value, dict):
+        unknown = set(value) - {"degree", "distance", "attribute"}
+        if unknown:
+            raise ConfigError(
+                f"unknown weight keys {sorted(unknown)}; "
+                "expected degree/distance/attribute"
+            )
+        return (
+            float(value.get("degree", 0.0)),
+            float(value.get("distance", 0.0)),
+            float(value.get("attribute", 0.0)),
+        )
+    try:
+        out = tuple(map(float, value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"weights must be three numbers, got {value!r}") from exc
+    if len(out) != 3:
+        raise ConfigError(f"weights must have exactly 3 entries, got {len(out)}")
+    return out
+
+
+def parse_weights(text: str) -> tuple:
+    """``"c1,c2,c3"`` -> float triple."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError(
+            f"--weights needs three comma-separated numbers, got {text!r}"
+        )
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"bad --weights {text!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SimilarityWeights:
     """The c1/c2/c3 weights of the combined structural similarity.
@@ -94,9 +157,104 @@ class SimilarityWeights:
             raise ConfigError("at least one similarity weight must be positive")
 
 
+# Wire rules (Knob.wire): when a knob travels in a request's wire form.  A
+# knob that is not ALWAYS there stays off the wire while a request leaves
+# it alone, so adding one keeps the wire forms and hashes of old requests.
+#: On the wire in every request.
+ALWAYS = "always"
+#: On the wire while one of the knob's atoms is active.
+WHILE_READ = "while_read"
+#: On the wire while the knob is not at its default.
+CHANGED = "changed"
+
+#: The atom of the refined phase: a request with ``refined=False`` leaves
+#: it inactive, like a blocking atom its policy does not name.
+REFINED = "refined"
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One pipeline knob, as a :class:`DeHealthConfig` field declares it.
+
+    ``ge``/``gt``/``le`` bound a number and ``choices`` a string; a knob
+    whose default is ``None`` takes ``None`` too.  ``atoms`` names the
+    parts of the pipeline that read the knob when not every run does:
+    blocking atoms (see :func:`parse_blocking`) or :data:`REFINED`.  A
+    request in which none of them is active resets the knob to its
+    default, so requests that behave alike compare and hash equal.
+    ``wire`` is the knob's wire rule: :data:`WHILE_READ` by default for a
+    knob with atoms, :data:`ALWAYS` otherwise.  ``coerce`` normalizes a
+    request's value.  ``flag`` is the knob's ``repro-dehealth attack``
+    option (shown with ``metavar`` and ``help``); ``parse`` turns its
+    string into a value, raising :class:`~repro.errors.ConfigError`, and
+    without ``parse`` the default's type does.
+    """
+
+    name: str
+    default: Any
+    ge: "float | None" = None
+    gt: "float | None" = None
+    le: "float | None" = None
+    choices: tuple = ()
+    atoms: frozenset = frozenset()
+    wire: "str | None" = None
+    coerce: "Callable | None" = None
+    flag: "str | None" = None
+    metavar: "str | None" = None
+    help: "str | None" = None
+    parse: "Callable | None" = None
+    #: ``value -> bool``: whether the bound admits ``value`` (``None`` for
+    #: an unbounded knob).
+    accepts: "Callable | None" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", frozenset(self.atoms))
+        if self.wire is None:
+            object.__setattr__(self, "wire", WHILE_READ if self.atoms else ALWAYS)
+        object.__setattr__(self, "accepts", self._predicate())
+
+    def _predicate(self) -> "Callable | None":
+        if self.choices:
+            test = self.choices.__contains__
+        elif self.gt is not None or self.ge is not None:
+            lo = self.ge if self.gt is None else self.gt
+            hi = math.inf if self.le is None else self.le
+            if self.gt is None:
+                test = lambda v: lo <= v <= hi  # noqa: E731
+            else:
+                test = lambda v: lo < v <= hi  # noqa: E731
+        else:
+            return None
+        if self.default is None:
+            return lambda v: v is None or test(v)
+        return test
+
+    def bound(self) -> str:
+        """The bound in words: ``">= 1"``, ``"in (0, 1]"``, ``"one of
+        (...)"``, with ``" or None"`` when ``None`` is admitted."""
+        if self.choices:
+            text = f"one of {self.choices}"
+        elif self.le is None:
+            text = f">= {self.ge}" if self.gt is None else f"> {self.gt}"
+        else:
+            lo = f"[{self.ge}" if self.gt is None else f"({self.gt}"
+            text = f"in {lo}, {self.le}]"
+        return text + (" or None" if self.default is None else "")
+
+
+def knob(default, **declaration) -> Any:
+    """A :class:`DeHealthConfig` field declaring one knob; the keywords
+    are :class:`Knob`'s."""
+    return field(default=default, metadata={"knob": declaration})
+
+
 @dataclass(frozen=True)
 class DeHealthConfig:
     """Every knob of the two-phase attack, paper defaults pre-set.
+
+    Each field declares one knob (see :class:`Knob` and :data:`KNOBS`).
+    ``weights`` may be given in any spelling :func:`weights_tuple` takes;
+    it is stored as :class:`SimilarityWeights`.
 
     ``n_landmarks`` is the paper's ħ (50 for corpus-scale runs, 5 for the
     small refined-DA experiments); ``verification=None`` corresponds to the
@@ -150,115 +308,140 @@ class DeHealthConfig:
     worker wedged.  ``None`` (the default) disables the watchdog —
     behaviour and output are otherwise unchanged: a run that finishes in
     time is byte-identical with or without a deadline.
+
+    ``seed`` draws the SMO solver's random pairs and the refined phase's
+    false-addition decoys.
     """
 
-    weights: SimilarityWeights = field(default_factory=SimilarityWeights)
-    n_landmarks: int = 50
-    top_k: int = 10
-    selection: str = "direct"
-    filtering: bool = False
-    filter_epsilon: float = 0.01
-    filter_levels: int = 10
-    classifier: str = "smo"
-    use_structural_features: bool = True
-    verification: "str | None" = None
-    verification_r: float = 0.25
-    false_addition_count: "int | None" = None
-    attribute_weight_cap: int = 64
-    blocking: str = "none"
-    blocking_band_width: float = 1.0
-    blocking_min_shared: int = 1
-    blocking_keep: float = 0.2
-    blocking_lsh_bands: int = 48
-    blocking_lsh_rows: int = 6
-    blocking_ann_m: int = 12
-    blocking_ann_ef: int = 48
-    blocking_seed: int = 0
-    refined_keep_fraction: float = 1.0
-    extract_workers: int = 1
-    request_deadline_s: "float | None" = None
-    seed: int = 0
+    weights: SimilarityWeights = knob(
+        SimilarityWeights(), coerce=weights_tuple, flag="--weights",
+        parse=parse_weights, metavar="C1,C2,C3",
+        help="similarity weights: degree, distance, attribute",
+    )
+    n_landmarks: int = knob(50, ge=1, flag="--landmarks")
+    top_k: int = knob(10, ge=1, flag="--top-k")
+    selection: str = knob(
+        "direct", choices=SELECTION_CHOICES, flag="--selection",
+        help="Top-K candidate selection strategy",
+    )
+    filtering: bool = knob(False)
+    filter_epsilon: float = knob(0.01, ge=0)
+    filter_levels: int = knob(10, ge=2)
+    classifier: str = knob("smo", choices=CLASSIFIER_CHOICES, flag="--classifier")
+    use_structural_features: bool = knob(True)
+    verification: "str | None" = knob(None, choices=VERIFICATION_CHOICES)
+    verification_r: float = knob(0.25, ge=0)
+    false_addition_count: "int | None" = knob(None)
+    attribute_weight_cap: int = knob(64, ge=1)
+    blocking: str = knob(
+        "none", wire=CHANGED, flag="--blocking", parse=blocking_spec,
+        metavar="POLICY",
+        help="candidate-blocking policy for the Top-K phase: one of "
+             f"{'|'.join(BLOCKING_CHOICES)} or a '+'-composite like "
+             "lsh+degree_band (none = exact dense scoring)",
+    )
+    blocking_band_width: float = knob(1.0, gt=0, atoms=("degree_band",))
+    blocking_min_shared: int = knob(1, ge=1, atoms=("attr_index",))
+    blocking_keep: float = knob(
+        0.2, gt=0, le=1, atoms=("attr_index", "lsh", "ann_graph"),
+        flag="--blocking-keep", metavar="F",
+        help="per-user candidate cap as a fraction of the auxiliary side "
+             "(attr_index/lsh/ann_graph policies)",
+    )
+    blocking_lsh_bands: int = knob(
+        48, ge=1, atoms=("lsh",), flag="--lsh-bands", metavar="B",
+        help="LSH bucket bands (blocking=lsh)",
+    )
+    blocking_lsh_rows: int = knob(
+        6, ge=1, le=62, atoms=("lsh",), flag="--lsh-rows", metavar="R",
+        help="SimHash bits per LSH band (blocking=lsh)",
+    )
+    blocking_ann_m: int = knob(
+        12, ge=1, atoms=("ann_graph",), flag="--ann-m", metavar="M",
+        help="NSW edges per node (blocking=ann_graph)",
+    )
+    blocking_ann_ef: int = knob(
+        48, ge=1, atoms=("ann_graph",), flag="--ann-ef", metavar="EF",
+        help="NSW search beam width (blocking=ann_graph)",
+    )
+    blocking_seed: int = knob(
+        0, atoms=("lsh", "ann_graph"), flag="--blocking-seed", metavar="S",
+        help="seed of the LSH hyperplanes / ANN insertion order",
+    )
+    refined_keep_fraction: float = knob(
+        1.0, gt=0, le=1, atoms=(REFINED,), wire=CHANGED,
+        flag="--refined-keep", metavar="F",
+        help="pre-rank the refined phase: classify only the top "
+             "ceil(F × |Cu|) of each candidate set by phase-1 similarity "
+             "(1.0 = classify everything, the historical behaviour)",
+    )
+    extract_workers: int = knob(
+        1, ge=0, wire=CHANGED, flag="--extract-workers", metavar="N",
+        help="process-pool width of phase-0 feature extraction "
+             "(1 = serial, 0 = one per core; output is byte-identical)",
+    )
+    request_deadline_s: "float | None" = knob(None, gt=0, wire=CHANGED)
+    seed: int = knob(
+        0, flag="--seed",
+        help="seed of the split and of the refined phase's solver and decoys",
+    )
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.weights, SimilarityWeights):
+            object.__setattr__(
+                self, "weights", SimilarityWeights(*weights_tuple(self.weights))
+            )
 
     def validate(self) -> None:
-        self.weights.validate()
-        if self.n_landmarks < 1:
-            raise ConfigError(f"n_landmarks must be >= 1, got {self.n_landmarks}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.selection not in SELECTION_CHOICES:
-            raise ConfigError(
-                f"selection must be one of {SELECTION_CHOICES}, got {self.selection!r}"
-            )
-        if self.classifier not in CLASSIFIER_CHOICES:
-            raise ConfigError(
-                f"classifier must be one of {CLASSIFIER_CHOICES}, got {self.classifier!r}"
-            )
-        if self.verification is not None and self.verification not in VERIFICATION_CHOICES:
-            raise ConfigError(
-                f"verification must be None or one of {VERIFICATION_CHOICES}, "
-                f"got {self.verification!r}"
-            )
-        if self.filter_levels < 2:
-            raise ConfigError(f"filter_levels must be >= 2, got {self.filter_levels}")
-        if self.filter_epsilon < 0:
-            raise ConfigError(
-                f"filter_epsilon must be >= 0, got {self.filter_epsilon}"
-            )
-        if self.verification_r < 0:
-            raise ConfigError(
-                f"verification_r must be >= 0, got {self.verification_r}"
-            )
-        if self.attribute_weight_cap < 1:
-            raise ConfigError(
-                f"attribute_weight_cap must be >= 1, got {self.attribute_weight_cap}"
-            )
-        parse_blocking(self.blocking)
-        if self.blocking_band_width <= 0:
-            raise ConfigError(
-                f"blocking_band_width must be > 0, got {self.blocking_band_width}"
-            )
-        if self.blocking_min_shared < 1:
-            raise ConfigError(
-                f"blocking_min_shared must be >= 1, got {self.blocking_min_shared}"
-            )
-        if not 0.0 < self.blocking_keep <= 1.0:
-            raise ConfigError(
-                f"blocking_keep must be in (0, 1], got {self.blocking_keep}"
-            )
-        if self.blocking_lsh_bands < 1:
-            raise ConfigError(
-                f"blocking_lsh_bands must be >= 1, got {self.blocking_lsh_bands}"
-            )
-        if not 1 <= self.blocking_lsh_rows <= 62:
-            raise ConfigError(
-                f"blocking_lsh_rows must be in [1, 62], got {self.blocking_lsh_rows}"
-            )
-        if self.blocking_lsh_bands * (1 << self.blocking_lsh_rows) > (1 << 64):
-            # composite bucket keys pack (band, key) into one uint64
-            raise ConfigError(
-                f"blocking_lsh_bands × 2^blocking_lsh_rows must fit in 64 "
-                f"bits, got {self.blocking_lsh_bands} × "
-                f"2^{self.blocking_lsh_rows}"
-            )
-        if self.blocking_ann_m < 1:
-            raise ConfigError(
-                f"blocking_ann_m must be >= 1, got {self.blocking_ann_m}"
-            )
-        if self.blocking_ann_ef < 1:
-            raise ConfigError(
-                f"blocking_ann_ef must be >= 1, got {self.blocking_ann_ef}"
-            )
-        if not 0.0 < self.refined_keep_fraction <= 1.0:
-            raise ConfigError(
-                f"refined_keep_fraction must be in (0, 1], "
-                f"got {self.refined_keep_fraction}"
-            )
-        if self.extract_workers < 0:
-            raise ConfigError(
-                f"extract_workers must be >= 0, got {self.extract_workers}"
-            )
-        if self.request_deadline_s is not None and self.request_deadline_s <= 0:
-            raise ConfigError(
-                f"request_deadline_s must be > 0 or None, "
-                f"got {self.request_deadline_s}"
-            )
+        check_knobs(self)
+
+
+#: Every knob, in :class:`DeHealthConfig` field order.
+KNOBS: tuple = tuple(
+    Knob(f.name, f.default, **f.metadata["knob"]) for f in fields(DeHealthConfig)
+)
+_BOUNDED: tuple = tuple(spec for spec in KNOBS if spec.accepts is not None)
+_ACCEPTS: tuple = tuple(spec.accepts for spec in _BOUNDED)
+_bounded_values = attrgetter(*(spec.name for spec in _BOUNDED))
+
+
+def active_atoms(knobs, refined: bool = True) -> set:
+    """The atoms in effect for ``knobs`` (a config or a request): the
+    parts of its blocking policy, split leniently so that a spelling not
+    yet validated never raises, with ``"union"`` spelled out; and
+    :data:`REFINED` when the refined phase runs."""
+    policy = knobs.blocking
+    atoms = set()
+    if isinstance(policy, str):
+        atoms.update(part.strip() for part in policy.split("+"))
+    if "union" in atoms:
+        atoms.update(UNION_ATOMS)
+    if refined:
+        atoms.add(REFINED)
+    return atoms
+
+
+def check_knobs(knobs) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless the knobs of
+    ``knobs`` (a config or a request) are valid: each within its declared
+    bound, the weights valid, and the blocking policy parsing.  The checks
+    that span knobs stay here, written out."""
+    values = _bounded_values(knobs)
+    if not all(map(call, _ACCEPTS, values)):
+        for spec, value in zip(_BOUNDED, values):
+            if not spec.accepts(value):
+                raise ConfigError(
+                    f"{spec.name} must be {spec.bound()}, got {value!r}"
+                )
+    weights = knobs.weights
+    if not isinstance(weights, SimilarityWeights):
+        weights = SimilarityWeights(*weights)
+    weights.validate()
+    parse_blocking(knobs.blocking)
+    if knobs.blocking_lsh_bands * (1 << knobs.blocking_lsh_rows) > (1 << 64):
+        # composite bucket keys pack (band, key) into one uint64
+        raise ConfigError(
+            f"blocking_lsh_bands × 2^blocking_lsh_rows must fit in 64 "
+            f"bits, got {knobs.blocking_lsh_bands} × "
+            f"2^{knobs.blocking_lsh_rows}"
+        )

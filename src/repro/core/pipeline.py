@@ -66,60 +66,33 @@ class DeHealth:
         expensive artifact once.
         """
         extractor = extractor or FeatureExtractor()
-        workers = self.config.extract_workers
         # stage-boundary watchdog: a request_deadline_s armed here (or by
         # the serving session) turns a wedged fit into a structured
         # DeadlineExceeded at the next boundary
         with deadline_scope(self.config.request_deadline_s):
             check_deadline("fit:anonymized-graph")
-            self.anonymized = (
-                anonymized
-                if isinstance(anonymized, UDAGraph)
-                else UDAGraph(
-                    anonymized, extractor=extractor, extract_workers=workers
-                )
-            )
+            self.anonymized = self._graph(anonymized, extractor)
             check_deadline("fit:auxiliary-graph")
-            self.auxiliary = (
-                auxiliary
-                if isinstance(auxiliary, UDAGraph)
-                else UDAGraph(
-                    auxiliary, extractor=extractor, extract_workers=workers
-                )
-            )
+            self.auxiliary = self._graph(auxiliary, extractor)
             check_deadline("fit:similarity")
         self.similarity = SimilarityComputer(
-            self.anonymized,
-            self.auxiliary,
-            weights=self.config.weights,
-            n_landmarks=self.config.n_landmarks,
-            attribute_weight_cap=self.config.attribute_weight_cap,
-            cache=similarity_cache,
-            blocking=self.config.blocking,
-            blocking_band_width=self.config.blocking_band_width,
-            blocking_min_shared=self.config.blocking_min_shared,
-            blocking_keep=self.config.blocking_keep,
-            blocking_lsh_bands=self.config.blocking_lsh_bands,
-            blocking_lsh_rows=self.config.blocking_lsh_rows,
-            blocking_ann_m=self.config.blocking_ann_m,
-            blocking_ann_ef=self.config.blocking_ann_ef,
-            blocking_seed=self.config.blocking_seed,
+            self.anonymized, self.auxiliary, self.config, cache=similarity_cache
         )
-        self._refined = RefinedDeanonymizer(
+        self._refined = RefinedDeanonymizer.from_config(
             self.anonymized,
             self.auxiliary,
-            classifier=self.config.classifier,
-            use_structural_features=self.config.use_structural_features,
-            false_addition_count=(
-                self.config.false_addition_count
-                if self.config.verification == "false_addition"
-                else None
-            ),
-            seed=self.config.seed,
+            self.config,
             post_matrix_caches=post_matrix_caches,
-            keep_fraction=self.config.refined_keep_fraction,
         )
         return self
+
+    def _graph(self, data, extractor: FeatureExtractor) -> UDAGraph:
+        """``data`` itself if it is a :class:`UDAGraph`, else its graph."""
+        if isinstance(data, UDAGraph):
+            return data
+        return UDAGraph(
+            data, extractor=extractor, extract_workers=self.config.extract_workers
+        )
 
     def _require_fit(self) -> None:
         if self.similarity is None:

@@ -84,6 +84,32 @@ class RefinedDeanonymizer:
         self._anon_cache, self._aux_cache = post_matrix_caches
         make_classifier(classifier)  # fail fast on bad names
 
+    @classmethod
+    def from_config(
+        cls,
+        anonymized: UDAGraph,
+        auxiliary: UDAGraph,
+        config,
+        post_matrix_caches: "tuple[dict, dict] | None" = None,
+    ) -> "RefinedDeanonymizer":
+        """The refined phase a :class:`~repro.core.DeHealthConfig`
+        describes: its classifier, structural features, seed and pre-rank
+        fraction, and its decoy count under false-addition verification."""
+        return cls(
+            anonymized,
+            auxiliary,
+            classifier=config.classifier,
+            use_structural_features=config.use_structural_features,
+            false_addition_count=(
+                config.false_addition_count
+                if config.verification == "false_addition"
+                else None
+            ),
+            seed=config.seed,
+            post_matrix_caches=post_matrix_caches,
+            keep_fraction=config.refined_keep_fraction,
+        )
+
     # --- feature assembly -------------------------------------------------
 
     def _post_matrix(self, uda: UDAGraph, cache: dict, user_id: str) -> np.ndarray:

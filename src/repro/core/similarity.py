@@ -33,12 +33,18 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.blocking import CandidateMask, SparseSimilarity, build_candidates
-from repro.core.config import BLOCKING_CHOICES, SimilarityWeights, parse_blocking
+from repro.core.config import (
+    BLOCKING_CHOICES,
+    KNOBS,
+    DeHealthConfig,
+    parse_blocking,
+)
 from repro.graph.landmarks import landmark_closeness, select_landmarks
 from repro.graph.uda import UDAGraph
 
@@ -253,6 +259,10 @@ class SimilarityCache:
 class SimilarityComputer:
     """Computes and caches the three similarity components for a graph pair.
 
+    The knobs it reads (weights, ``n_landmarks``, ``attribute_weight_cap``
+    and the blocking knobs) come from ``config``, a
+    :class:`~repro.core.config.DeHealthConfig`, overridden by any given as
+    keywords: ``SimilarityComputer(g1, g2, n_landmarks=5, blocking="lsh")``.
     Passing a shared :class:`SimilarityCache` lets several computers over the
     same graph pair (e.g. a sweep over c1/c2/c3 weights) reuse component and
     combined matrices instead of recomputing them.
@@ -269,36 +279,15 @@ class SimilarityComputer:
         self,
         anonymized: UDAGraph,
         auxiliary: UDAGraph,
-        weights: "SimilarityWeights | None" = None,
-        n_landmarks: int = 50,
-        attribute_weight_cap: int = 64,
+        config: "DeHealthConfig | None" = None,
         cache: "SimilarityCache | None" = None,
-        blocking: str = "none",
-        blocking_band_width: float = 1.0,
-        blocking_min_shared: int = 1,
-        blocking_keep: float = 0.2,
-        blocking_lsh_bands: int = 48,
-        blocking_lsh_rows: int = 6,
-        blocking_ann_m: int = 12,
-        blocking_ann_ef: int = 48,
-        blocking_seed: int = 0,
+        **knobs,
     ) -> None:
         self.anonymized = anonymized
         self.auxiliary = auxiliary
-        self.weights = weights or SimilarityWeights()
-        self.weights.validate()
-        self.n_landmarks = n_landmarks
-        self.attribute_weight_cap = attribute_weight_cap
+        self.config = replace(config or DeHealthConfig(), **knobs)
+        self.config.weights.validate()
         self.cache = cache or SimilarityCache()
-        self.blocking = blocking
-        self.blocking_band_width = blocking_band_width
-        self.blocking_min_shared = blocking_min_shared
-        self.blocking_keep = blocking_keep
-        self.blocking_lsh_bands = blocking_lsh_bands
-        self.blocking_lsh_rows = blocking_lsh_rows
-        self.blocking_ann_m = blocking_ann_m
-        self.blocking_ann_ef = blocking_ann_ef
-        self.blocking_seed = blocking_seed
 
     # --- components -----------------------------------------------------
 
@@ -321,12 +310,12 @@ class SimilarityComputer:
     def distance_similarity(self) -> np.ndarray:
         """s^s: cosine of landmark closeness vectors, hop + weighted."""
         return self.cache.get_or_build(
-            ("distance", self.n_landmarks), self._build_distance
+            ("distance", self.config.n_landmarks), self._build_distance
         )
 
     def _build_distance(self) -> np.ndarray:
         g1, g2 = self.anonymized, self.auxiliary
-        h = min(self.n_landmarks, g1.n_users, g2.n_users)
+        h = min(self.config.n_landmarks, g1.n_users, g2.n_users)
         lm1 = select_landmarks(g1, h)
         lm2 = select_landmarks(g2, h)
         component = _cosine_matrix(
@@ -342,11 +331,11 @@ class SimilarityComputer:
     def attribute_similarity(self) -> np.ndarray:
         """s^a: Jaccard(A(u), A(v)) + weighted Jaccard(WA(u), WA(v))."""
         return self.cache.get_or_build(
-            ("attribute", self.attribute_weight_cap), self._build_attribute
+            ("attribute", self.config.attribute_weight_cap), self._build_attribute
         )
 
     def _build_attribute(self) -> np.ndarray:
-        cap = self.attribute_weight_cap
+        cap = self.config.attribute_weight_cap
         W1 = self.anonymized.attr_weights.astype(np.int64).tocsr().copy()
         W2 = self.auxiliary.attr_weights.astype(np.int64).tocsr().copy()
         W1.data = np.minimum(W1.data, cap)
@@ -357,12 +346,13 @@ class SimilarityComputer:
 
     def combined_key(self) -> tuple:
         """The cache key of this computer's combined matrix."""
-        w = self.weights
+        c = self.config
+        w = c.weights
         return (
             "combined",
             (w.degree, w.distance, w.attribute),
-            self.n_landmarks,
-            self.attribute_weight_cap,
+            c.n_landmarks,
+            c.attribute_weight_cap,
         )
 
     def combined(self) -> np.ndarray:
@@ -374,7 +364,7 @@ class SimilarityComputer:
         return self.cache.get_or_build(self.combined_key(), self._build_combined)
 
     def _build_combined(self) -> np.ndarray:
-        w = self.weights
+        w = self.config.weights
         total = np.zeros((self.anonymized.n_users, self.auxiliary.n_users))
         if w.degree:
             total += w.degree * self.degree_similarity()
@@ -387,24 +377,9 @@ class SimilarityComputer:
     # --- blocking / sparse pair scoring ---------------------------------
 
     def _atom_key(self, atom: str) -> tuple:
-        if atom == "degree_band":
-            return ("degree_band", self.blocking_band_width)
-        if atom == "attr_index":
-            return ("attr_index", self.blocking_min_shared, self.blocking_keep)
-        if atom == "lsh":
-            return (
-                "lsh",
-                self.blocking_lsh_bands,
-                self.blocking_lsh_rows,
-                self.blocking_keep,
-                self.blocking_seed,
-            )
-        return (
-            "ann_graph",
-            self.blocking_ann_m,
-            self.blocking_ann_ef,
-            self.blocking_keep,
-            self.blocking_seed,
+        """``atom`` and the values of the knobs that read it."""
+        return (atom,) + tuple(
+            getattr(self.config, spec.name) for spec in KNOBS if atom in spec.atoms
         )
 
     def blocking_key(self) -> tuple:
@@ -416,39 +391,42 @@ class SimilarityComputer:
         ``attr_index+degree_band``) shares a cache slot, while any
         distinct parameterization — of any part — lands in its own.
         """
-        if self.blocking == "none":
+        if self.config.blocking == "none":
             return ("none",)
         key: tuple = ()
-        atoms = sorted(parse_blocking(self.blocking), key=BLOCKING_CHOICES.index)
+        atoms = sorted(
+            parse_blocking(self.config.blocking), key=BLOCKING_CHOICES.index
+        )
         for atom in atoms:
             key += self._atom_key(atom)
         return key
 
     def candidate_mask(self) -> "CandidateMask | None":
         """The cached candidate mask of this computer's blocking policy."""
-        if self.blocking == "none":
+        if self.config.blocking == "none":
             return None
         return self.cache.get_or_build(
             ("blocking",) + self.blocking_key(), self._build_mask
         )
 
     def _build_mask(self) -> CandidateMask:
+        c = self.config
         started = time.perf_counter()
         mask = build_candidates(
             self.anonymized,
             self.auxiliary,
-            self.blocking,
-            band_width=self.blocking_band_width,
-            min_shared=self.blocking_min_shared,
-            keep_fraction=self.blocking_keep,
-            lsh_bands=self.blocking_lsh_bands,
-            lsh_rows=self.blocking_lsh_rows,
-            ann_m=self.blocking_ann_m,
-            ann_ef=self.blocking_ann_ef,
-            seed=self.blocking_seed,
+            c.blocking,
+            band_width=c.blocking_band_width,
+            min_shared=c.blocking_min_shared,
+            keep_fraction=c.blocking_keep,
+            lsh_bands=c.blocking_lsh_bands,
+            lsh_rows=c.blocking_lsh_rows,
+            ann_m=c.blocking_ann_m,
+            ann_ef=c.blocking_ann_ef,
+            seed=c.blocking_seed,
         )
         self.cache.record_blocking(
-            self.blocking, mask, time.perf_counter() - started
+            c.blocking, mask, time.perf_counter() - started
         )
         return mask
 
@@ -463,22 +441,16 @@ class SimilarityComputer:
         below any scored pair's possible value, since every component is
         non-negative.
         """
-        if self.blocking == "none":
+        if self.config.blocking == "none":
             raise ValueError(
                 "combined_sparse() needs a blocking policy; "
                 "use combined() for the dense path"
             )
-        w = self.weights
-        key = (
-            "combined_pairs",
-            (w.degree, w.distance, w.attribute),
-            self.n_landmarks,
-            self.attribute_weight_cap,
-        ) + self.blocking_key()
+        key = ("combined_pairs",) + self.combined_key()[1:] + self.blocking_key()
         return self.cache.get_or_build(key, self._build_combined_sparse)
 
     def _build_combined_sparse(self) -> SparseSimilarity:
-        w = self.weights
+        w = self.config.weights
         mask = self.candidate_mask()
         rows, cols = mask.pair_arrays()
         total = np.zeros(mask.n_pairs, dtype=np.float64)
@@ -497,7 +469,7 @@ class SimilarityComputer:
         without a copy, over the split's full mask (built once, cached as
         ``("full_mask",)``); otherwise :meth:`combined_sparse`.
         """
-        if self.blocking == "none":
+        if self.config.blocking == "none":
             mask = self.cache.get_or_build(
                 ("full_mask",),
                 lambda: CandidateMask.full(

@@ -160,7 +160,7 @@ def run_scaling(
         computer = SimilarityComputer(
             anonymized,
             auxiliary,
-            weights=weights,
+            weights=weights or SimilarityWeights(),
             n_landmarks=n_landmarks,
             cache=cache,
             blocking=policy,

@@ -45,15 +45,10 @@ persistent store).  Only a *persistent* store changes behaviour beyond
 durability: attacks whose report is already stored are answered from the
 store without re-fitting, which is how interrupted sweeps resume.
 
-``/attack`` and ``/sweep`` accept the full request schema, including the
-candidate-blocking knobs (``"blocking"``: ``none`` | ``degree_band`` |
-``attr_index`` | ``union`` | ``lsh`` | ``ann_graph`` or a ``"+"``
-composite like ``"lsh+degree_band"``, plus ``blocking_band_width`` /
-``blocking_min_shared`` / ``blocking_keep`` and the ANN knobs
-``blocking_lsh_bands`` / ``blocking_lsh_rows`` / ``blocking_ann_m`` /
-``blocking_ann_ef`` / ``blocking_seed``), the refined pre-rank knob
-``"refined_keep_fraction"`` (classify only the top fraction of each
-candidate set by phase-1 similarity), and ``"extract_workers"``.
+``/attack`` and ``/sweep`` accept the full request schema: the fields of
+:class:`~repro.api.AttackRequest`, that is the split fields plus one field
+per pipeline knob of :data:`repro.core.config.KNOBS`, the table that
+declares each knob's name, default, bound and wire rule once.
 
 Errors come back as ``{"error": {"type": ..., "message": ...}}`` built on
 the :mod:`repro.errors` hierarchy: :class:`~repro.errors.ConfigError` (and

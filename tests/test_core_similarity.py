@@ -71,7 +71,7 @@ class TestComponents:
         )
         combined = sim.combined()
         # distance component never computed for the ablation
-        assert not sim.cache.has("distance", sim.n_landmarks)
+        assert not sim.cache.has("distance", sim.config.n_landmarks)
         assert np.allclose(combined, sim.attribute_similarity())
 
     def test_cached(self, graph_pair):
