@@ -65,19 +65,29 @@ def matching_top_k(S, k: int) -> list[list[int]]:
     the same round, which spreads candidates across contested columns.
 
     The rounds run the dense assignment solver on a copy of the scores
-    with every unscored pair at ``-1e18``: the solver never prefers such
-    a pair to a scored one, and a row left with only unscored pairs gets
-    no further candidates.
+    with every unscored pair at a sentinel placed below the lowest score
+    by more than the weight range of any matching: ``min − m·(max − min)
+    − 1`` with ``m = min(n1, n2)``.  So each round assigns as many scored
+    pairs as it can and, among those matchings, one of the highest total
+    score; a row left with only unscored pairs gets no further candidates.
+    (A sentinel like ``-1e18`` drowns the scores: at that magnitude the
+    float64 spacing is 128, and the solver could no longer tell the
+    matchings with the most scored pairs apart by weight.)
     """
     S = _check(S, k)
-    neg_inf = -1e18
+    n1, n2 = S.shape
+    lo, hi = (S.values.min(), S.values.max()) if S.n_pairs else (0.0, 0.0)
+    sentinel = lo - min(n1, n2) * (hi - lo) - 1.0
     return _order_candidates(
-        _matching_rounds(S.to_dense(floor=neg_inf), k, neg_inf), S.scores_at
+        _matching_rounds(S.to_dense(floor=sentinel), k, sentinel), S.scores_at
     )
 
 
-def _matching_rounds(masked: np.ndarray, k: int, neg_inf: float) -> list[list[int]]:
-    """Dense assignment rounds over ``masked`` (mutated in place).
+def _matching_rounds(
+    masked: np.ndarray, k: int, sentinel: float
+) -> list[list[int]]:
+    """Dense assignment rounds over ``masked`` (mutated in place), whose
+    unscored pairs hold ``sentinel``.
 
     Returns raw per-row candidate lists in round order; callers order them
     by true score via :func:`_order_candidates`.
@@ -89,10 +99,10 @@ def _matching_rounds(masked: np.ndarray, k: int, neg_inf: float) -> list[list[in
         rows, cols = linear_sum_assignment(masked, maximize=True)
         progressed = False
         for r, c in zip(rows, cols):
-            if masked[r, c] <= neg_inf / 2:
-                continue  # only masked edges left for this row
+            if masked[r, c] <= sentinel:
+                continue  # only unscored pairs left for this row
             candidates[r].append(int(c))
-            masked[r, c] = neg_inf
+            masked[r, c] = sentinel
             progressed = True
         if not progressed:
             break

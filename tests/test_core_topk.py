@@ -1,16 +1,14 @@
 """Unit tests for Top-K candidate selection."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.core import direct_top_k, matching_top_k
 from repro.core.blocking import CandidateMask, SparseSimilarity
-from repro.core.topk import (
-    _matching_rounds,
-    _order_candidates,
-    true_match_ranks,
-)
+from repro.core.topk import true_match_ranks
 from repro.errors import ConfigError
 
 S = np.array(
@@ -91,14 +89,38 @@ def _sparse_from(dense: np.ndarray, keep: np.ndarray) -> SparseSimilarity:
     return SparseSimilarity(mask, dense[rows, cols])
 
 
-def _legacy_matching_oracle(S: SparseSimilarity, k: int) -> list:
-    """The matching semantics spelled out: densify with a -inf floor and
-    run the dense rounds."""
-    neg_inf = -1e18
-    rows, cols = S.mask.pair_arrays()
-    dense = np.full(S.shape, neg_inf, dtype=np.float64)
-    dense[rows, cols] = S.values
-    return _order_candidates(_matching_rounds(dense, k, neg_inf), S.scores_at)
+def _brute_force_matching(dense: np.ndarray, keep: np.ndarray, k: int) -> list:
+    """Repeated matching by exhaustive search over every assignment of
+    ``min(n1, n2)`` distinct pairs: a round takes one with the most scored
+    (``keep``) pairs and, among those, the highest total score; its scored
+    pairs become candidates and leave the graph.  Each row's candidates
+    come back best first."""
+    n1, n2 = dense.shape
+    scored = {(r, c) for r, c in zip(*np.nonzero(keep))}
+    candidates = [[] for _ in range(n1)]
+    for _ in range(min(k, n2)):
+        if n1 <= n2:
+            matchings = (
+                list(enumerate(cols)) for cols in permutations(range(n2), n1)
+            )
+        else:
+            matchings = (
+                [(r, c) for c, r in enumerate(rows)]
+                for rows in permutations(range(n1), n2)
+            )
+        best = max(
+            (
+                [pair for pair in matching if pair in scored]
+                for matching in matchings
+            ),
+            key=lambda pairs: (len(pairs), sum(dense[p] for p in pairs)),
+        )
+        if not best:
+            break
+        for r, c in best:
+            candidates[r].append(c)
+            scored.discard((r, c))
+    return [sorted(cand, key=lambda c: -dense[r, c]) for r, cand in enumerate(candidates)]
 
 
 class TestSparseMatching:
@@ -112,20 +134,24 @@ class TestSparseMatching:
             full = _sparse_from(dense, np.ones((n1, n2), dtype=bool))
             assert matching_top_k(full, k) == matching_top_k(dense, k)
 
-    def test_blocked_masks_equal_legacy_semantics(self):
-        """Random partial masks, rows left without scored pairs included,
-        match the spelled-out densify semantics exactly — seeded
-        continuous scores make optima unique."""
+    def test_blocked_masks_equal_brute_force(self):
+        """Random partial masks, rows left without scored pairs included:
+        every round is a matching with the most scored pairs and, among
+        those, the highest weight — seeded continuous scores make the
+        optimum unique.  Unscored pairs at -1e18 failed this: when a round
+        had to assign one, the scores vanished in the float64 spacing at
+        1e18 and the round kept an arbitrary matching of the right size."""
         rng = np.random.RandomState(9)
-        for trial in range(25):
-            n1, n2 = rng.randint(3, 10), rng.randint(3, 10)
+        for trial in range(400):
+            n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
             dense = rng.rand(n1, n2)
-            keep = rng.rand(n1, n2) < rng.uniform(0.3, 0.95)
+            keep = rng.rand(n1, n2) < rng.uniform(0.2, 0.95)
             if not keep.any():
                 continue
-            S = _sparse_from(dense, keep)
             k = int(rng.randint(1, 5))
-            assert matching_top_k(S, k) == _legacy_matching_oracle(S, k), trial
+            assert matching_top_k(_sparse_from(dense, keep), k) == (
+                _brute_force_matching(dense, keep, k)
+            ), trial
 
     def test_block_diagonal_mask_keeps_candidates_inside(self):
         """Every candidate of a block-diagonal mask stays in its block."""
@@ -146,14 +172,13 @@ class TestSparseMatching:
             assert len(cand) == 4
             assert all(keep[i, c] for c in cand)
 
-    def test_empty_row_falls_back_and_matches_legacy(self):
+    def test_empty_row_falls_back_and_matches_brute_force(self):
         rng = np.random.RandomState(17)
         dense = rng.rand(5, 5)
         keep = np.ones((5, 5), dtype=bool)
         keep[2, :] = False  # no candidates: perfect matching impossible
-        S = _sparse_from(dense, keep)
-        out = matching_top_k(S, 2)
-        assert out == _legacy_matching_oracle(S, 2)
+        out = matching_top_k(_sparse_from(dense, keep), 2)
+        assert out == _brute_force_matching(dense, keep, 2)
         assert out[2] == []
 
     def test_zero_scores_are_real_edges(self):
