@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from repro.core.config import (
     ALWAYS,
@@ -146,12 +146,11 @@ class AttackRequest:
     def to_dict(self) -> dict:
         """The wire form: every field the wire rules put there, tuples as
         lists."""
-        values = self.__dict__
-        payload = dict(zip(_ALWAYS, _always_values(values)))
+        payload = dict(zip(_ALWAYS, _always_values(self)))
         for name in _LISTS:
             payload[name] = list(payload[name])
         atoms = active_atoms(self, self.refined)
-        for spec, value in zip(_OPTIONAL, _optional_values(values)):
+        for spec, value in zip(_OPTIONAL, _optional_values(self)):
             if (
                 value != spec.default
                 if spec.wire == CHANGED
@@ -188,13 +187,13 @@ _SCOPED = tuple(spec for spec in KNOBS if spec.atoms)
 _ALWAYS = tuple(
     f.name for f in fields(AttackRequest) if f.name not in _KNOB_NAMES
 ) + tuple(spec.name for spec in KNOBS if spec.wire == ALWAYS)
-_always_values = itemgetter(*_ALWAYS)
+_always_values = attrgetter(*_ALWAYS)
 _LISTS = tuple(
     f.name for f in fields(AttackRequest)
     if f.name in _ALWAYS and isinstance(f.default, tuple)
 )
 _OPTIONAL = tuple(spec for spec in KNOBS if spec.wire != ALWAYS)
-_optional_values = itemgetter(*(spec.name for spec in _OPTIONAL))
+_optional_values = attrgetter(*(spec.name for spec in _OPTIONAL))
 
 
 def request_hash(request: AttackRequest) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, call
 from typing import Any, Callable
 
 from repro.errors import ConfigError
@@ -44,7 +43,6 @@ BLOCKING_CHOICES: tuple[str, ...] = (
 #: The atoms ``"union"`` stands for: :func:`parse_blocking` spells it out
 #: as these, while requests and ``/stats`` keep the name ``"union"``.
 UNION_ATOMS: tuple[str, ...] = ("degree_band", "attr_index")
-_SINGLE_ATOMS = frozenset(BLOCKING_CHOICES) - {"union"}
 
 
 def parse_blocking(policy) -> tuple:
@@ -58,8 +56,6 @@ def parse_blocking(policy) -> tuple:
     already named: ``"union+degree_band"`` -> ``("degree_band",
     "attr_index")``.
     """
-    if policy in _SINGLE_ATOMS:
-        return (policy,)
     if not isinstance(policy, str) or not policy:
         raise ConfigError(
             f"blocking policy must be one of {BLOCKING_CHOICES} "
@@ -118,19 +114,6 @@ def weights_tuple(value) -> tuple:
     if len(out) != 3:
         raise ConfigError(f"weights must have exactly 3 entries, got {len(out)}")
     return out
-
-
-def parse_weights(text: str) -> tuple:
-    """``"c1,c2,c3"`` -> float triple."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(
-            f"--weights needs three comma-separated numbers, got {text!r}"
-        )
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad --weights {text!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -315,7 +298,7 @@ class DeHealthConfig:
 
     weights: SimilarityWeights = knob(
         SimilarityWeights(), coerce=weights_tuple, flag="--weights",
-        parse=parse_weights, metavar="C1,C2,C3",
+        parse=lambda text: weights_tuple(text.split(",")), metavar="C1,C2,C3",
         help="similarity weights: degree, distance, attribute",
     )
     n_landmarks: int = knob(50, ge=1, flag="--landmarks")
@@ -401,8 +384,6 @@ KNOBS: tuple = tuple(
     Knob(f.name, f.default, **f.metadata["knob"]) for f in fields(DeHealthConfig)
 )
 _BOUNDED: tuple = tuple(spec for spec in KNOBS if spec.accepts is not None)
-_ACCEPTS: tuple = tuple(spec.accepts for spec in _BOUNDED)
-_bounded_values = attrgetter(*(spec.name for spec in _BOUNDED))
 
 
 def active_atoms(knobs, refined: bool = True) -> set:
@@ -426,13 +407,10 @@ def check_knobs(knobs) -> None:
     ``knobs`` (a config or a request) are valid: each within its declared
     bound, the weights valid, and the blocking policy parsing.  The checks
     that span knobs stay here, written out."""
-    values = _bounded_values(knobs)
-    if not all(map(call, _ACCEPTS, values)):
-        for spec, value in zip(_BOUNDED, values):
-            if not spec.accepts(value):
-                raise ConfigError(
-                    f"{spec.name} must be {spec.bound()}, got {value!r}"
-                )
+    for spec in _BOUNDED:
+        value = getattr(knobs, spec.name)
+        if not spec.accepts(value):
+            raise ConfigError(f"{spec.name} must be {spec.bound()}, got {value!r}")
     weights = knobs.weights
     if not isinstance(weights, SimilarityWeights):
         weights = SimilarityWeights(*weights)
