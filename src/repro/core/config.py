@@ -203,9 +203,9 @@ class Knob:
             lo = self.ge if self.gt is None else self.gt
             hi = math.inf if self.le is None else self.le
             if self.gt is None:
-                test = lambda v: lo <= v <= hi  # noqa: E731
+                test = lambda v: lo <= v <= hi
             else:
-                test = lambda v: lo < v <= hi  # noqa: E731
+                test = lambda v: lo < v <= hi
         else:
             return None
         if self.default is None:

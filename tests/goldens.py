@@ -117,7 +117,13 @@ def blocking_matrix() -> list:
     """Blocked-path variants on one closed split: ``degree_band`` once (it
     reads no keep fraction); ``attr_index``, ``union``, ``lsh``,
     ``ann_graph`` and ``lsh+degree_band`` at ``blocking_keep`` 0.5 and
-    0.1; and ``union`` with matching selection."""
+    0.1; and ``union`` with matching selection.
+
+    Every variant runs ``refined: false``, so its success rates come from
+    the true-match ranks, which never read a candidate set: the matching
+    variant pins the ``union`` mask (at the default keep), not matching
+    selection, and reads the same rates as ``union`` with direct
+    selection."""
     base = AttackRequest(
         corpus="golden",
         world="closed",
