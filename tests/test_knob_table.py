@@ -122,7 +122,6 @@ def test_engine_and_service_reports_agree(corpus):
     served.register("parity", corpus)
     app = create_app(served)
     for body in service_variants():
-        body = {k: list(v) if isinstance(v, tuple) else v for k, v in body.items()}
         direct = engine.attack(AttackRequest.from_dict(body)).canonical_dict()
         res = call_app(app, "POST", "/attack", body)
         assert res.status == 200, res.json
