@@ -1,5 +1,8 @@
 """Unit tests for the Stylometry comparison baseline."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import StylometryBaseline
@@ -15,6 +18,49 @@ def baseline_setup(tiny_corpus, extractor):
     anon = UDAGraph(split.anonymized, extractor=extractor)
     aux = UDAGraph(split.auxiliary, extractor=extractor)
     return split, anon, aux
+
+
+@pytest.fixture(scope="module")
+def pin_graphs(tiny_corpus, extractor):
+    """40 users with two posts or more: few enough posts that the baseline
+    errs often and its predictions tell the classifiers apart."""
+    sel = select_users_with_posts(tiny_corpus, n_users=40, min_posts=2, seed=11)
+    split = closed_world_split(sel, aux_fraction=0.5, seed=12)
+    return (
+        UDAGraph(split.anonymized, extractor=extractor),
+        UDAGraph(split.auxiliary, extractor=extractor),
+    )
+
+
+#: (classifier, structural features, seed) -> the first 16 hex digits of
+#: the sha256 of the sorted-key JSON of the baseline's predictions on the
+#: pin split.
+PREDICTION_PINS = {
+    ("smo", True, 0): "980e6ae763327add",
+    ("smo", True, 3): "bf245722a44a6246",
+    ("smo", False, 0): "d28126e439101bac",
+    ("smo", False, 3): "d28126e439101bac",
+    ("knn", True, 0): "22a39deffdd1fc82",
+    ("knn", False, 0): "22a39deffdd1fc82",
+    ("rlsc", True, 0): "40d08f0bd2b8d5ba",
+    ("rlsc", False, 0): "78410cd05482316f",
+    ("centroid", True, 0): "aa0965003cd1e76f",
+    ("centroid", False, 0): "f03fb48521f163d7",
+}
+
+
+class TestPredictionPin:
+    @pytest.mark.parametrize(
+        "case", list(PREDICTION_PINS), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_predictions_match_pin(self, pin_graphs, case):
+        classifier, structural, seed = case
+        baseline = StylometryBaseline(
+            classifier=classifier, use_structural_features=structural, seed=seed
+        )
+        predictions = baseline.deanonymize(*pin_graphs).predictions
+        payload = json.dumps(predictions, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest()[:16] == PREDICTION_PINS[case]
 
 
 class TestStylometryBaseline:

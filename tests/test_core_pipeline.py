@@ -1,11 +1,15 @@
 """Integration-style tests for the DeHealth pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core import DeHealth, DeHealthConfig
+from repro.core.similarity import SimilarityCache
 from repro.errors import NotFittedError
 from repro.forum import closed_world_split, open_world_split, select_users_with_posts
+from repro.graph import UDAGraph
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,57 @@ class TestRefinedPhase:
         attack.fit(split.anonymized, split.auxiliary, extractor=extractor)
         result = attack.deanonymize()
         assert set(result.predictions) == set(split.anonymized.user_ids())
+
+
+def scored_cut(candidates: list, scores, fraction: float) -> list:
+    """The refined pre-rank's scored cut, kept as the oracle: the top
+    ``ceil(fraction × |Cu|)`` candidates by phase-1 score, ties in list
+    order."""
+    kept_n = max(1, int(np.ceil(fraction * len(candidates))))
+    order = np.lexsort((np.arange(len(candidates)), -np.asarray(scores)))
+    return [candidates[int(j)] for j in order[:kept_n]]
+
+
+class TestBestFirstCandidates:
+    """Property: every selection path emits each candidate set best-first
+    by phase-1 score, ties in a stable order, so cutting a list's head is
+    the scored cut."""
+
+    FRACTIONS = (0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9)
+
+    def test_head_cut_is_the_scored_cut(self, tiny_split, extractor):
+        anonymized = UDAGraph(tiny_split.anonymized, extractor=extractor)
+        auxiliary = UDAGraph(tiny_split.auxiliary, extractor=extractor)
+        aux_index = {u: j for j, u in enumerate(auxiliary.users)}
+        cache = SimilarityCache()
+        cuts = tied_rows = 0
+        for blocking, selection, filtering, k in itertools.product(
+            ("none", "lsh", "ann_graph", "union"),
+            ("direct", "matching"),
+            (False, True),
+            (3, 10),
+        ):
+            config = DeHealthConfig(
+                top_k=k, n_landmarks=5, blocking=blocking,
+                selection=selection, filtering=filtering,
+            )
+            attack = DeHealth(config).fit(
+                anonymized, auxiliary, similarity_cache=cache
+            )
+            S = attack.similarity_scores()
+            candidates = attack.top_k_candidates()
+            for i, anon in enumerate(anonymized.users):
+                cand = candidates[anon]
+                if not cand:
+                    continue
+                scores = S.scores_at(i, [aux_index[c] for c in cand])
+                tied_rows += len(set(scores.tolist())) < len(cand)
+                for fraction in self.FRACTIONS:
+                    kept = scored_cut(cand, scores, fraction)
+                    assert cand[: len(kept)] == kept, (config, anon, fraction)
+                    cuts += 1
+        assert cuts > 10_000
+        assert tied_rows > 0  # ties are exercised
 
 
 class TestRefinedPrerank:
