@@ -22,56 +22,37 @@ from repro.forum.split import SplitResult, closed_world_split, open_world_split
 from repro.stylometry.extractor import FeatureExtractor
 
 
-class PostMatrixCache(dict):
+class PostMatrixCache:
     """Per-user post-matrix store with O(1) byte accounting.
 
-    A plain dict to its consumer (:class:`~repro.core.RefinedDeanonymizer`
-    reads and writes it like any cache), plus a running byte total so the
-    engine's ``cache_budget_bytes`` enforcement can account the refined
-    phase's matrices without iterating a dict that another thread may be
-    filling mid-run.
+    Its consumer (:class:`~repro.core.RefinedDeanonymizer`) reads it with
+    ``get`` and writes it by item assignment.  ``nbytes_total`` is a
+    running byte total, so the engine's ``cache_budget_bytes`` enforcement
+    can account the refined phase's matrices without iterating a dict that
+    another thread may be filling mid-run; those two, ``len`` and
+    ``clear`` are the only ways in, so nothing bypasses the count.
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._matrices: dict = {}
         self.nbytes_total = 0
 
+    def get(self, key):
+        return self._matrices.get(key)
+
     def __setitem__(self, key, value) -> None:
-        previous = self.get(key)
+        previous = self._matrices.get(key)
         if previous is not None:
             self.nbytes_total -= int(previous.nbytes)
         self.nbytes_total += int(value.nbytes)
-        super().__setitem__(key, value)
+        self._matrices[key] = value
 
-    def __delitem__(self, key) -> None:
-        previous = self.get(key)
-        if previous is not None:
-            self.nbytes_total -= int(previous.nbytes)
-        super().__delitem__(key)
-
-    def pop(self, key, *default):
-        if key in self:
-            self.nbytes_total -= int(self[key].nbytes)
-        return super().pop(key, *default)
-
-    def popitem(self):
-        key, value = super().popitem()
-        self.nbytes_total -= int(value.nbytes)
-        return key, value
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default  # route through __setitem__ accounting
-            return default
-        return self[key]
-
-    def update(self, *args, **kwargs) -> None:
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value  # route through __setitem__ accounting
+    def __len__(self) -> int:
+        return len(self._matrices)
 
     def clear(self) -> None:
         self.nbytes_total = 0
-        super().clear()
+        self._matrices.clear()
 
 
 class AttackSession:
