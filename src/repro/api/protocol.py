@@ -21,6 +21,8 @@ from repro.core.config import (
     DeHealthConfig,
     active_atoms,
     check_knobs,
+    check_types,
+    field_types,
 )
 from repro.errors import ConfigError
 
@@ -88,12 +90,13 @@ class AttackRequest:
     overlap_ratio: float = 0.5
     split_seed: int = 0
     refined: bool = True
-    ks: tuple = ()
+    ks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for spec in _COERCED:
             object.__setattr__(self, spec.name, spec.coerce(getattr(self, spec.name)))
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        if isinstance(self.ks, list):
+            object.__setattr__(self, "ks", tuple(self.ks))
         atoms = active_atoms(self, self.refined)
         for spec in _SCOPED:
             if spec.atoms.isdisjoint(atoms):
@@ -108,6 +111,10 @@ class AttackRequest:
         return config
 
     def validate(self) -> "AttackRequest":
+        """Raise :class:`~repro.errors.ConfigError` unless every field
+        holds a value of its declared type (see
+        :func:`~repro.core.config.field_types`) within its bound."""
+        check_types(self, _REQUEST_TYPED)
         if self.world not in WORLD_CHOICES:
             raise ConfigError(
                 f"world must be one of {WORLD_CHOICES}, got {self.world!r}"
@@ -121,8 +128,8 @@ class AttackRequest:
                 f"overlap_ratio must be in (0, 1], got {self.overlap_ratio}"
             )
         for k in self.ks:
-            if k < 1:
-                raise ConfigError(f"evaluation ks must be >= 1, got {k}")
+            if type(k) is not int or k < 1:
+                raise ConfigError(f"evaluation ks must be ints >= 1, got {k!r}")
         check_knobs(self)
         return self
 
@@ -178,15 +185,17 @@ class AttackRequest:
 
 _FIELD_NAMES = frozenset(f.name for f in fields(AttackRequest))
 _KNOB_NAMES = tuple(spec.name for spec in KNOBS)
+#: The request-only fields and their type tests (``check_knobs`` types
+#: the knobs).
+_OWN = tuple(f.name for f in fields(AttackRequest) if f.name not in _KNOB_NAMES)
+_REQUEST_TYPED = field_types(AttackRequest, _OWN)
 _knob_values = attrgetter(*_KNOB_NAMES)
 _COERCED = tuple(spec for spec in KNOBS if spec.coerce)
 _SCOPED = tuple(spec for spec in KNOBS if spec.atoms)
 #: Fields always on the wire (every request-only field, then the knobs
 #: whose wire rule is ALWAYS), the tuple-valued ones among them, and the
 #: knobs whose wire rule depends on the request.
-_ALWAYS = tuple(
-    f.name for f in fields(AttackRequest) if f.name not in _KNOB_NAMES
-) + tuple(spec.name for spec in KNOBS if spec.wire == ALWAYS)
+_ALWAYS = _OWN + tuple(spec.name for spec in KNOBS if spec.wire == ALWAYS)
 _always_values = attrgetter(*_ALWAYS)
 _LISTS = tuple(
     f.name for f in fields(AttackRequest)

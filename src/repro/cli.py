@@ -69,7 +69,7 @@ def _add_knob_flag(parser: argparse.ArgumentParser, spec: Knob, **overrides) -> 
         def parse(text: str, parse=spec.parse):
             try:
                 return parse(text)
-            except ConfigError as exc:
+            except (ConfigError, ValueError) as exc:
                 raise argparse.ArgumentTypeError(str(exc)) from exc
 
         options["type"] = parse

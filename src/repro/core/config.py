@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import contains
 from typing import Any, Callable
 
 from repro.errors import ConfigError
@@ -92,9 +94,10 @@ def blocking_spec(text: str) -> str:
 def weights_tuple(value) -> tuple:
     """Normalise any weights spelling to a ``(c1, c2, c3)`` float tuple:
     a :class:`SimilarityWeights`, a dict with degree/distance/attribute
-    keys (missing ones are 0.0), or any three numbers."""
+    keys (missing ones are 0.0), or a list or tuple of three numbers."""
     if isinstance(value, SimilarityWeights):
         return (value.degree, value.distance, value.attribute)
+    entries = value
     if isinstance(value, dict):
         unknown = set(value) - {"degree", "distance", "attribute"}
         if unknown:
@@ -102,18 +105,16 @@ def weights_tuple(value) -> tuple:
                 f"unknown weight keys {sorted(unknown)}; "
                 "expected degree/distance/attribute"
             )
-        return (
-            float(value.get("degree", 0.0)),
-            float(value.get("distance", 0.0)),
-            float(value.get("attribute", 0.0)),
-        )
-    try:
-        out = tuple(map(float, value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"weights must be three numbers, got {value!r}") from exc
-    if len(out) != 3:
-        raise ConfigError(f"weights must have exactly 3 entries, got {len(out)}")
-    return out
+        entries = [
+            value.get(key, 0.0) for key in ("degree", "distance", "attribute")
+        ]
+    if (
+        isinstance(entries, (list, tuple))
+        and len(entries) == 3
+        and all(map(_NUMBERS.__contains__, map(type, entries)))
+    ):
+        return tuple(map(float, entries))
+    raise ConfigError(f"weights must be three numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,46 @@ class SimilarityWeights:
                 raise ConfigError(f"similarity weight {name} must be >= 0, got {value}")
         if self.degree == self.distance == self.attribute == 0.0:
             raise ConfigError("at least one similarity weight must be positive")
+
+
+#: The value types each declared field type admits.  An int passes where
+#: a float is declared and stays an int, so wire forms and hashes keep
+#: their spelling; a bool, a type of its own, passes as neither.
+_ADMITS: dict = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "tuple[int, ...]": (tuple,),
+}
+_NUMBERS = frozenset(_ADMITS["float"])
+
+
+def field_types(cls, names) -> tuple:
+    """What :func:`check_types` checks of the fields ``names`` of dataclass
+    ``cls``: the names, their declared types, and for each the set of
+    value types its declared type admits (``X | None`` admits ``None``)."""
+    declared = {f.name: f.type for f in fields(cls)}
+    names = tuple(names)
+    admitted = []
+    for name in names:
+        base = declared[name].removesuffix(" | None")
+        none = (type(None),) if base != declared[name] else ()
+        admitted.append(frozenset(_ADMITS[base] + none))
+    return names, tuple(declared[name] for name in names), tuple(admitted)
+
+
+def check_types(obj, typed: tuple) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless each field of
+    ``typed`` (see :func:`field_types`) holds a value of a type its
+    declared type admits."""
+    names, declared, admitted = typed
+    values = tuple(map(getattr, repeat(obj), names))
+    if all(map(contains, admitted, map(type, values))):
+        return
+    for name, decl, types, value in zip(names, declared, admitted, values):
+        if type(value) not in types:
+            raise ConfigError(f"{name} must be {decl}, got {value!r}")
 
 
 # Wire rules (Knob.wire): when a knob travels in a request's wire form.  A
@@ -169,8 +210,8 @@ class Knob:
     knob with atoms, :data:`ALWAYS` otherwise.  ``coerce`` normalizes a
     request's value.  ``flag`` is the knob's ``repro-dehealth attack``
     option (shown with ``metavar`` and ``help``); ``parse`` turns its
-    string into a value, raising :class:`~repro.errors.ConfigError`, and
-    without ``parse`` the default's type does.
+    string into a value, raising :class:`~repro.errors.ConfigError` or
+    ``ValueError``, and without ``parse`` the default's type does.
     """
 
     name: str
@@ -298,7 +339,8 @@ class DeHealthConfig:
 
     weights: SimilarityWeights = knob(
         SimilarityWeights(), coerce=weights_tuple, flag="--weights",
-        parse=lambda text: weights_tuple(text.split(",")), metavar="C1,C2,C3",
+        parse=lambda text: weights_tuple([float(x) for x in text.split(",")]),
+        metavar="C1,C2,C3",
         help="similarity weights: degree, distance, attribute",
     )
     n_landmarks: int = knob(50, ge=1, flag="--landmarks")
@@ -312,9 +354,9 @@ class DeHealthConfig:
     filter_levels: int = knob(10, ge=2)
     classifier: str = knob("smo", choices=CLASSIFIER_CHOICES, flag="--classifier")
     use_structural_features: bool = knob(True)
-    verification: "str | None" = knob(None, choices=VERIFICATION_CHOICES)
+    verification: str | None = knob(None, choices=VERIFICATION_CHOICES)
     verification_r: float = knob(0.25, ge=0)
-    false_addition_count: "int | None" = knob(None)
+    false_addition_count: int | None = knob(None)
     attribute_weight_cap: int = knob(64, ge=1)
     blocking: str = knob(
         "none", wire=CHANGED, flag="--blocking", parse=blocking_spec,
@@ -363,7 +405,7 @@ class DeHealthConfig:
         help="process-pool width of phase-0 feature extraction "
              "(1 = serial, 0 = one per core; output is byte-identical)",
     )
-    request_deadline_s: "float | None" = knob(None, gt=0, wire=CHANGED)
+    request_deadline_s: float | None = knob(None, gt=0, wire=CHANGED)
     seed: int = knob(
         0, flag="--seed",
         help="seed of the split and of the refined phase's solver and decoys",
@@ -384,6 +426,10 @@ KNOBS: tuple = tuple(
     Knob(f.name, f.default, **f.metadata["knob"]) for f in fields(DeHealthConfig)
 )
 _BOUNDED: tuple = tuple(spec for spec in KNOBS if spec.accepts is not None)
+#: The knobs' type tests; a knob with ``coerce`` is checked by it.
+_TYPED: tuple = field_types(
+    DeHealthConfig, [spec.name for spec in KNOBS if not spec.coerce]
+)
 
 
 def active_atoms(knobs, refined: bool = True) -> set:
@@ -404,9 +450,10 @@ def active_atoms(knobs, refined: bool = True) -> set:
 
 def check_knobs(knobs) -> None:
     """Raise :class:`~repro.errors.ConfigError` unless the knobs of
-    ``knobs`` (a config or a request) are valid: each within its declared
-    bound, the weights valid, and the blocking policy parsing.  The checks
-    that span knobs stay here, written out."""
+    ``knobs`` (a config or a request) are valid: each of its declared type
+    and within its declared bound, the weights valid, and the blocking
+    policy parsing.  The checks that span knobs stay here, written out."""
+    check_types(knobs, _TYPED)
     for spec in _BOUNDED:
         value = getattr(knobs, spec.name)
         if not spec.accepts(value):

@@ -126,3 +126,61 @@ def test_engine_and_service_reports_agree(corpus):
         res = call_app(app, "POST", "/attack", body)
         assert res.status == 200, res.json
         assert AttackReport.from_dict(res.json).canonical_dict() == direct, body
+
+
+#: Values of the wrong JSON type for each declared field type: a string
+#: for a number, a float for an int, a bool for any number, and so on.
+WRONG_TYPED = {
+    "int": ("5", 2.5, True),
+    "float": ("0.5", True),
+    "bool": ("no", 0),
+    "str": (5, True),
+    "tuple": ("15", [1.5], [True]),
+    "SimilarityWeights": ("123", [True, False, True], ["0.1", "0.1", "0.8"]),
+}
+
+
+def wrong_typed_bodies() -> list:
+    """``(field, value, body)`` for every request field and every wrong
+    value of its declared type (a knob's type is its config field's), in
+    a body where the field is read."""
+    declared = {f.name: f.type for f in dataclasses.fields(DeHealthConfig)}
+    atoms = {spec.name: spec.atoms for spec in KNOBS}
+    base = {"corpus": "typed", "n_landmarks": 5, "top_k": 5,
+            "classifier": "centroid", "refined": False}
+    cases = []
+    for f in dataclasses.fields(AttackRequest):
+        # the base type of the declaration: "int | None" -> "int",
+        # "tuple[int, ...]" -> "tuple" (quoted or not)
+        kind = declared.get(f.name, f.type).strip("'\"")
+        kind = kind.removesuffix(" | None").split("[")[0]
+        for value in WRONG_TYPED[kind]:
+            body = {**base, f.name: value}
+            read_by = atoms.get(f.name, frozenset())
+            if REFINED in read_by:
+                body["refined"] = True
+            if read_by - {REFINED}:
+                body["blocking"] = sorted(read_by - {REFINED})[0]
+            cases.append((f.name, value, body))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def typed_app(corpus):
+    engine = Engine()
+    engine.register("typed", corpus)
+    return create_app(engine)
+
+
+WRONG_TYPED_BODIES = wrong_typed_bodies()
+
+
+@pytest.mark.parametrize(
+    "name, value, body", WRONG_TYPED_BODIES,
+    ids=[f"{name}={value!r}" for name, value, _ in WRONG_TYPED_BODIES],
+)
+def test_wrong_typed_field_is_a_400(typed_app, name, value, body):
+    res = call_app(typed_app, "POST", "/attack", body)
+    assert res.status == 400, (body, res.json)
+    assert res.json["error"]["type"] == "ConfigError"
+    assert name in res.json["error"]["message"]
