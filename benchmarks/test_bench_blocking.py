@@ -59,6 +59,8 @@ SCALING_USERS = 600
 SCALING_SEED = 2
 SPLIT_SEED = 5
 TOP_K = 10
+#: Landmarks of the scaling world's distance similarity (ħ).
+SCALING_LANDMARKS = 20
 
 #: Acceptance gates for the attribute-index blocker.
 MAX_PAIR_FRACTION = 0.2
@@ -203,6 +205,7 @@ def test_blocking_pair_economics(benchmark):
             seed=SCALING_SEED,
             split_seed=SPLIT_SEED,
             top_k=TOP_K,
+            n_landmarks=SCALING_LANDMARKS,
             blocking_keep=MAX_PAIR_FRACTION,
         ),
         rounds=1,

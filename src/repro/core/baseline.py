@@ -4,72 +4,46 @@ The paper's baseline is the traditional stylometric attack ([29]-[37]):
 train **one** classifier over *all* auxiliary users (no Top-K reduction) on
 the same feature set, then classify every anonymized user into the full
 auxiliary population.  It is "equivalent to the second phase (refined DA)
-of De-Health" run with Cu = V2.
+of De-Health" run with Cu = V2, and it is built from that phase's code:
+the same post matrices, scaler and classifier.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.core.refined import make_classifier
+from repro.core.config import DeHealthConfig
+from repro.core.refined import RefinedDeanonymizer
 from repro.core.results import DAResult
 from repro.graph.uda import UDAGraph
-from repro.ml import StandardScaler
 
 
 class StylometryBaseline:
-    """One global classifier over the whole auxiliary population."""
+    """One global classifier over the whole auxiliary population.
 
-    def __init__(
-        self,
-        classifier: str = "smo",
-        use_structural_features: bool = True,
-        seed: int = 0,
-    ) -> None:
-        self.classifier_name = classifier
-        self.use_structural_features = use_structural_features
-        self.seed = seed
-        make_classifier(classifier)  # fail fast
+    It reads the refined phase's ``classifier``, ``use_structural_features``
+    and ``seed`` from ``config``, a :class:`~repro.core.config.DeHealthConfig`,
+    overridden by any given as keywords:
+    ``StylometryBaseline(classifier="knn")``.  Bad values raise
+    :class:`~repro.errors.ConfigError`.
+    """
 
-    def _post_matrix(self, uda: UDAGraph, user_id: str) -> np.ndarray:
-        texts = uda.dataset.post_texts_of(user_id)
-        matrix = uda.extractor.extract_matrix(texts).toarray()
-        if self.use_structural_features and len(texts):
-            i = uda.index[user_id]
-            ncs = uda.ncs[i]
-            row = np.array(
-                [
-                    np.log1p(uda.degrees[i]),
-                    np.log1p(uda.weighted_degrees[i]),
-                    np.log1p(ncs.max() if len(ncs) else 0.0),
-                    np.log1p(uda.n_posts[i]),
-                ]
-            )
-            matrix = np.hstack([matrix, np.tile(row, (len(texts), 1))])
-        return matrix
+    def __init__(self, config: "DeHealthConfig | None" = None, **knobs) -> None:
+        self.config = replace(config or DeHealthConfig(), **knobs)
+        self.config.validate()
 
     def deanonymize(
         self, anonymized: UDAGraph, auxiliary: UDAGraph
     ) -> DAResult:
         """Train once on Δ2, classify every user of Δ1."""
-        blocks = []
-        labels: list[str] = []
-        for v in auxiliary.users:
-            block = self._post_matrix(auxiliary, v)
-            if block.size == 0:
-                continue
-            blocks.append(block)
-            labels.extend([v] * len(block))
-        train_X = np.vstack(blocks)
-        train_y = np.asarray(labels)
-
-        scaler = StandardScaler().fit(train_X)
-        clf = make_classifier(self.classifier_name, seed=self.seed)
-        clf.fit(scaler.transform(train_X), train_y)
+        phase = RefinedDeanonymizer(anonymized, auxiliary, self.config)
+        scaler, clf = phase.fit_classifier(*phase.training_set(auxiliary.users))
 
         predictions: dict = {}
         for u in anonymized.users:
-            test_X = self._post_matrix(anonymized, u)
+            test_X = phase.anonymized_rows(u)
             if test_X.size == 0:
                 predictions[u] = None
                 continue

@@ -8,9 +8,9 @@ before scoring; this module provides that stage for De-Health:
 * ``"none"`` — no blocking; the dense path scores every pair, read
   through the full mask (:meth:`CandidateMask.full`);
 * ``"degree_band"`` — bucket users of both graphs into logarithmic degree
-  bands; a pair is a candidate iff the bands are within ``radius`` of each
-  other.  Cheap and attribute-free, but a weak pruner on degree-homogeneous
-  forum graphs;
+  bands; a pair is a candidate iff the bands are at most one apart.
+  Cheap and attribute-free, but a weak pruner on degree-homogeneous forum
+  graphs;
 * ``"attr_index"`` — an inverted index over attribute slots generates the
   pairs sharing at least ``min_shared`` attributes; each candidate pair is
   ranked by its binary attribute Jaccard (the unweighted half of the
@@ -47,10 +47,12 @@ build of each block.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import sparse
 
-from repro.core.config import BLOCKING_CHOICES, parse_blocking
+from repro.core.config import BLOCKING_CHOICES, DeHealthConfig, parse_blocking
 from repro.errors import ConfigError
 from repro.graph.uda import UDAGraph
 
@@ -300,26 +302,23 @@ def degree_band_candidates(
     anonymized: UDAGraph,
     auxiliary: UDAGraph,
     band_width: float = 1.0,
-    radius: int = 1,
 ) -> CandidateMask:
-    """Pairs whose log-degree bands differ by at most ``radius``.
+    """Pairs whose log-degree bands differ by at most one.
 
     The same user's degree drifts between the Δ1/Δ2 splits (it depends on
     which co-thread posts landed on each side), so candidate bands must be
-    generous: with the default width (log2) and radius 1 a degree-``d``
-    user keeps every auxiliary user within roughly a 4× degree range.
+    generous: with the default width (log2) a degree-``d`` user keeps
+    every auxiliary user within roughly a 4× degree range.
     """
     if band_width <= 0:
         raise ConfigError(f"band_width must be > 0, got {band_width}")
-    if radius < 0:
-        raise ConfigError(f"radius must be >= 0, got {radius}")
     b1 = _degree_bands(anonymized.degrees, band_width)
     b2 = _degree_bands(auxiliary.degrees, band_width)
     order = np.argsort(b2, kind="stable")
     sorted_b2 = b2[order]
-    # per anon user: auxiliary columns whose band is in [b - r, b + r]
-    lo = np.searchsorted(sorted_b2, b1 - radius, side="left")
-    hi = np.searchsorted(sorted_b2, b1 + radius, side="right")
+    # per anon user: auxiliary columns whose band is in [b - 1, b + 1]
+    lo = np.searchsorted(sorted_b2, b1 - 1, side="left")
+    hi = np.searchsorted(sorted_b2, b1 + 1, side="right")
     counts = hi - lo
     indptr = np.zeros(len(b1) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -1114,59 +1113,57 @@ def ann_graph_candidates(
 def build_candidates(
     anonymized: UDAGraph,
     auxiliary: UDAGraph,
-    policy: str,
-    band_width: float = 1.0,
-    radius: int = 1,
-    min_shared: int = 1,
-    keep_fraction: float = 0.2,
-    lsh_bands: int = 48,
-    lsh_rows: int = 6,
-    ann_m: int = 12,
-    ann_ef: int = 48,
-    seed: int = 0,
+    config: "DeHealthConfig | None" = None,
+    **knobs,
 ) -> "CandidateMask | None":
-    """Build the candidate mask for ``policy`` (``None`` for ``"none"``).
+    """The candidate mask of a config's blocking policy (``None`` for
+    ``"none"``).
 
-    ``policy`` may be a single policy name or a ``"+"``-joined composite
-    (``"lsh+degree_band"``): composite masks are the element-wise OR of
-    their parts, the recall-safe composition.
+    The policy and its parameters (``blocking`` and the ``blocking_*``
+    knobs) come from ``config``, a
+    :class:`~repro.core.config.DeHealthConfig`, overridden by any given as
+    keywords: ``build_candidates(g1, g2, blocking="lsh",
+    blocking_keep=0.3)``.  ``blocking`` may be a single policy name or a
+    ``"+"``-joined composite (``"lsh+degree_band"``): composite masks are
+    the element-wise OR of their parts, the recall-safe composition.
     """
-    atoms = parse_blocking(policy)
+    c = replace(config or DeHealthConfig(), **knobs)
+    atoms = parse_blocking(c.blocking)
     if atoms == ("none",):
         return None
 
     def build_atom(atom: str) -> CandidateMask:
         if atom == "degree_band":
             return degree_band_candidates(
-                anonymized, auxiliary, band_width=band_width, radius=radius
+                anonymized, auxiliary, band_width=c.blocking_band_width
             )
         if atom == "attr_index":
             return attr_index_candidates(
                 anonymized,
                 auxiliary,
-                min_shared=min_shared,
-                keep_fraction=keep_fraction,
+                min_shared=c.blocking_min_shared,
+                keep_fraction=c.blocking_keep,
             )
         if atom == "lsh":
             return lsh_candidates(
                 anonymized,
                 auxiliary,
-                bands=lsh_bands,
-                rows=lsh_rows,
-                keep_fraction=keep_fraction,
-                seed=seed,
+                bands=c.blocking_lsh_bands,
+                rows=c.blocking_lsh_rows,
+                keep_fraction=c.blocking_keep,
+                seed=c.blocking_seed,
             )
         if atom == "ann_graph":
             return ann_graph_candidates(
                 anonymized,
                 auxiliary,
-                m=ann_m,
-                ef=ann_ef,
-                keep_fraction=keep_fraction,
-                seed=seed,
+                m=c.blocking_ann_m,
+                ef=c.blocking_ann_ef,
+                keep_fraction=c.blocking_keep,
+                seed=c.blocking_seed,
             )
         raise ConfigError(
-            f"blocking policy must be one of {BLOCKING_CHOICES}, got {policy!r}"
+            f"blocking policy must be one of {BLOCKING_CHOICES}, got {c.blocking!r}"
         )
 
     mask = build_atom(atoms[0])

@@ -78,11 +78,8 @@ class DeHealth:
         self.similarity = SimilarityComputer(
             self.anonymized, self.auxiliary, self.config, cache=similarity_cache
         )
-        self._refined = RefinedDeanonymizer.from_config(
-            self.anonymized,
-            self.auxiliary,
-            self.config,
-            post_matrix_caches=post_matrix_caches,
+        self._refined = RefinedDeanonymizer(
+            self.anonymized, self.auxiliary, self.config, post_matrix_caches
         )
         return self
 
@@ -195,9 +192,6 @@ class DeHealth:
         candidates = self.top_k_candidates(k)
         S = self.similarity_scores()
         aux_index = {u: j for j, u in enumerate(self.auxiliary.users)}
-        # phase-1 scores feed the refined pre-rank only when the cut is
-        # active: the default path stays byte-identical to historical runs
-        prerank = self.config.refined_keep_fraction < 1.0
 
         predictions: dict = {}
         details: dict = {}
@@ -218,12 +212,7 @@ class DeHealth:
                     )
                 }
                 continue
-            cand_scores = None
-            if prerank:
-                cand_scores = S.scores_at(i, [aux_index[c] for c in cand])
-            winner, info = self._refined.deanonymize_user(
-                anon, cand, candidate_scores=cand_scores
-            )
+            winner, info = self._refined.deanonymize_user(anon, cand)
             if winner is not None and self.config.verification == "mean":
                 row = S.dense_row(i)
                 accepted = mean_verification(

@@ -10,8 +10,11 @@ decoy users — if a decoy wins, the answer is ⊥.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.core.config import DeHealthConfig
 from repro.errors import ConfigError
 from repro.graph.uda import UDAGraph
 from repro.ml import (
@@ -40,75 +43,38 @@ def make_classifier(name: str, seed: int = 0):
 class RefinedDeanonymizer:
     """Phase-2 engine: classify anonymized users into their candidate sets.
 
+    The knobs it reads (``classifier``, ``use_structural_features``,
+    ``seed``, ``refined_keep_fraction``, and ``false_addition_count``
+    under ``verification="false_addition"``) come from ``config``, a
+    :class:`~repro.core.config.DeHealthConfig`, overridden by any given as
+    keywords: ``RefinedDeanonymizer(g1, g2, classifier="knn")``.  Bad
+    values raise :class:`~repro.errors.ConfigError`.
+
     Post feature matrices are extracted once per user and cached, because
     the same auxiliary user appears in many candidate sets.
+    ``post_matrix_caches`` lets a parameter sweep share them across
+    instances; the cached matrices depend on ``use_structural_features``,
+    so callers must key shared caches by that knob.
     """
 
     def __init__(
         self,
         anonymized: UDAGraph,
         auxiliary: UDAGraph,
-        classifier: str = "smo",
-        use_structural_features: bool = True,
-        false_addition_count: "int | None" = None,
-        seed: int = 0,
+        config: "DeHealthConfig | None" = None,
         post_matrix_caches: "tuple[dict, dict] | None" = None,
-        keep_fraction: float = 1.0,
+        **knobs,
     ) -> None:
-        if not 0.0 < keep_fraction <= 1.0:
-            raise ConfigError(
-                f"keep_fraction must be in (0, 1], got {keep_fraction}"
-            )
         self.anonymized = anonymized
         self.auxiliary = auxiliary
-        self.classifier_name = classifier
-        self.use_structural_features = use_structural_features
-        self.false_addition_count = false_addition_count
-        self.seed = seed
-        #: Pre-ranking knob: each candidate set is cut to its top
-        #: ``ceil(keep_fraction × |Cu|)`` entries by phase-1 similarity
-        #: before any classifier training.  ``1.0`` disables the cut —
-        #: the classifier sees exactly the phase-1 candidate sets.
-        self.keep_fraction = float(keep_fraction)
+        self.config = replace(config or DeHealthConfig(), **knobs)
+        self.config.validate()
         #: Pre-ranking counters (cumulative over deanonymize_user calls
         #: while the cut is active): users pre-ranked, candidates seen,
         #: candidates actually classified.
         self.prerank_stats = {"users": 0, "candidates_in": 0, "candidates_kept": 0}
-        self._rng = derive_rng(seed)
-        # ``post_matrix_caches`` lets a parameter sweep share the extracted
-        # per-user post matrices across deanonymizer instances; the cached
-        # matrices depend on ``use_structural_features``, so callers must
-        # key shared caches by that flag.
-        if post_matrix_caches is None:
-            post_matrix_caches = ({}, {})
-        self._anon_cache, self._aux_cache = post_matrix_caches
-        make_classifier(classifier)  # fail fast on bad names
-
-    @classmethod
-    def from_config(
-        cls,
-        anonymized: UDAGraph,
-        auxiliary: UDAGraph,
-        config,
-        post_matrix_caches: "tuple[dict, dict] | None" = None,
-    ) -> "RefinedDeanonymizer":
-        """The refined phase a :class:`~repro.core.DeHealthConfig`
-        describes: its classifier, structural features, seed and pre-rank
-        fraction, and its decoy count under false-addition verification."""
-        return cls(
-            anonymized,
-            auxiliary,
-            classifier=config.classifier,
-            use_structural_features=config.use_structural_features,
-            false_addition_count=(
-                config.false_addition_count
-                if config.verification == "false_addition"
-                else None
-            ),
-            seed=config.seed,
-            post_matrix_caches=post_matrix_caches,
-            keep_fraction=config.refined_keep_fraction,
-        )
+        self._rng = derive_rng(self.config.seed)
+        self._anon_cache, self._aux_cache = post_matrix_caches or ({}, {})
 
     # --- feature assembly -------------------------------------------------
 
@@ -117,7 +83,7 @@ class RefinedDeanonymizer:
         if matrix is None:
             texts = uda.dataset.post_texts_of(user_id)
             matrix = uda.extractor.extract_matrix(texts).toarray()
-            if self.use_structural_features:
+            if self.config.use_structural_features:
                 matrix = np.hstack(
                     [matrix, self._structural_row(uda, user_id, len(texts))]
                 )
@@ -139,87 +105,90 @@ class RefinedDeanonymizer:
         )
         return np.tile(row, (n_rows, 1))
 
+    def anonymized_rows(self, user_id: str) -> np.ndarray:
+        """The post rows of anonymized user ``user_id``."""
+        return self._post_matrix(self.anonymized, self._anon_cache, user_id)
+
+    def training_set(self, users) -> tuple:
+        """The auxiliary post rows of ``users``, stacked, and their labels;
+        users without posts add none, and ``(None, None)`` means none of
+        them has a post."""
+        blocks = []
+        labels = []
+        for v in users:
+            block = self._post_matrix(self.auxiliary, self._aux_cache, v)
+            if block.size:
+                blocks.append(block)
+                labels.extend([v] * len(block))
+        if not blocks:
+            return None, None
+        return np.vstack(blocks), np.asarray(labels)
+
+    def fit_classifier(self, train_X: np.ndarray, train_y: np.ndarray) -> tuple:
+        """A scaler fit to ``train_X`` and the configured classifier
+        trained on the scaled rows."""
+        scaler = StandardScaler().fit(train_X)
+        clf = make_classifier(self.config.classifier, seed=self.config.seed)
+        clf.fit(scaler.transform(train_X), train_y)
+        return scaler, clf
+
     # --- per-user DA --------------------------------------------------------
 
-    def _prerank(self, candidates: list, candidate_scores) -> list:
-        """Cut a candidate set to its top ``keep_fraction`` by phase-1 score.
+    def _prerank(self, candidates: list) -> list:
+        """Cut a candidate set to its top ``refined_keep_fraction``.
 
-        ``candidate_scores`` aligns with ``candidates`` (the blocking
-        layer's sparse similarity values, threaded down by the pipeline);
-        when absent, the phase-1 ordering of the list itself is trusted —
-        both selection paths emit candidates best-first.  Ties and the
-        no-scores path preserve list order, so the cut is deterministic.
+        Direct selection, matching and Algorithm 2 filtering all emit
+        candidates best-first by phase-1 score, so the top
+        ``ceil(refined_keep_fraction × |Cu|)`` are the head of the list.
         """
-        kept_n = max(1, int(np.ceil(self.keep_fraction * len(candidates))))
-        if kept_n < len(candidates):
-            if candidate_scores is not None:
-                scores = np.asarray(candidate_scores, dtype=np.float64)
-                order = np.lexsort((np.arange(len(candidates)), -scores))
-                candidates = [candidates[int(i)] for i in order[:kept_n]]
-            else:
-                candidates = list(candidates)[:kept_n]
+        kept = candidates[
+            : max(1, int(np.ceil(self.config.refined_keep_fraction * len(candidates))))
+        ]
         self.prerank_stats["users"] += 1
-        self.prerank_stats["candidates_kept"] += len(candidates)
-        return candidates
+        self.prerank_stats["candidates_in"] += len(candidates)
+        self.prerank_stats["candidates_kept"] += len(kept)
+        return kept
 
     def deanonymize_user(
-        self,
-        anon_user: str,
-        candidates: list,
-        candidate_scores=None,
+        self, anon_user: str, candidates: list
     ) -> "tuple[str | None, dict]":
-        """Classify one anonymized user into ``candidates``.
+        """Classify one anonymized user into ``candidates``, a best-first
+        candidate set (pre-ranked when ``refined_keep_fraction < 1.0``).
 
-        ``candidate_scores`` (optional, aligned with ``candidates``) are
-        the phase-1 similarity scores used for pre-ranking when
-        ``keep_fraction < 1.0``; they never affect the classifier itself.
         Returns ``(winner, details)`` where winner is an auxiliary user id
         or ``None`` (⊥, only under false addition), and details carries the
         per-candidate aggregate scores.
         """
         if not candidates:
             return None, {"reason": "empty candidate set"}
-        if self.keep_fraction < 1.0:
-            self.prerank_stats["candidates_in"] += len(candidates)
-            candidates = self._prerank(candidates, candidate_scores)
-        test_X = self._post_matrix(self.anonymized, self._anon_cache, anon_user)
+        if self.config.refined_keep_fraction < 1.0:
+            candidates = self._prerank(candidates)
+        test_X = self.anonymized_rows(anon_user)
         if test_X.size == 0:
             return None, {"reason": "anonymized user has no posts"}
 
-        classes = list(candidates)
         decoys: list = []
-        if self.false_addition_count:
+        config = self.config
+        if config.verification == "false_addition" and config.false_addition_count:
             candidate_set = set(candidates)
             pool = [u for u in self.auxiliary.users if u not in candidate_set]
-            n_decoys = min(self.false_addition_count, len(pool))
+            n_decoys = min(config.false_addition_count, len(pool))
             if n_decoys:
                 decoys = [
                     pool[int(i)]
                     for i in self._rng.choice(len(pool), size=n_decoys, replace=False)
                 ]
         decoy_set = set(decoys)
-        train_users = classes + decoys
 
-        blocks = []
-        labels = []
-        for v in train_users:
-            block = self._post_matrix(self.auxiliary, self._aux_cache, v)
-            if block.size == 0:
-                continue
-            blocks.append(block)
-            labels.extend([v] * len(block))
-        if not blocks:
+        train_X, train_y = self.training_set(list(candidates) + decoys)
+        if train_X is None:
             return None, {"reason": "no training posts among candidates"}
-        train_X = np.vstack(blocks)
-        train_y = np.asarray(labels)
         if len(np.unique(train_y)) == 1:
             only = str(train_y[0])
             winner = None if only in decoy_set else only
             return winner, {"reason": "single-candidate set", "scores": {only: 1.0}}
 
-        scaler = StandardScaler().fit(train_X)
-        clf = make_classifier(self.classifier_name, seed=self.seed)
-        clf.fit(scaler.transform(train_X), train_y)
+        scaler, clf = self.fit_classifier(train_X, train_y)
         scores = clf.predict_scores(scaler.transform(test_X))
 
         class_totals: dict[str, float] = {}

@@ -410,23 +410,10 @@ class SimilarityComputer:
         )
 
     def _build_mask(self) -> CandidateMask:
-        c = self.config
         started = time.perf_counter()
-        mask = build_candidates(
-            self.anonymized,
-            self.auxiliary,
-            c.blocking,
-            band_width=c.blocking_band_width,
-            min_shared=c.blocking_min_shared,
-            keep_fraction=c.blocking_keep,
-            lsh_bands=c.blocking_lsh_bands,
-            lsh_rows=c.blocking_lsh_rows,
-            ann_m=c.blocking_ann_m,
-            ann_ef=c.blocking_ann_ef,
-            seed=c.blocking_seed,
-        )
+        mask = build_candidates(self.anonymized, self.auxiliary, self.config)
         self.cache.record_blocking(
-            c.blocking, mask, time.perf_counter() - started
+            self.config.blocking, mask, time.perf_counter() - started
         )
         return mask
 

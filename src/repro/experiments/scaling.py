@@ -35,9 +35,9 @@ cold extraction across a process pool.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.config import BLOCKING_CHOICES, SimilarityWeights, parse_blocking
+from repro.core.config import BLOCKING_CHOICES, DeHealthConfig, parse_blocking
 from repro.core.similarity import SimilarityCache, SimilarityComputer
 from repro.core.topk import direct_top_k
 from repro.datagen import webmd_like
@@ -106,30 +106,30 @@ def _topk_sets(S, k: int) -> list:
 
 
 def run_scaling(
+    config: "DeHealthConfig | None" = None,
+    *,
     n_users: int = 400,
     seed: int = 2,
     aux_fraction: float = 0.5,
     split_seed: int = 5,
-    top_k: int = 10,
-    n_landmarks: int = 20,
     min_posts_per_user: int = 2,
     policies: tuple = BLOCKING_CHOICES,
-    weights: "SimilarityWeights | None" = None,
-    blocking_keep: float = 0.2,
-    lsh_bands: int = 48,
-    lsh_rows: int = 6,
-    ann_m: int = 12,
-    ann_ef: int = 48,
-    blocking_seed: int = 0,
-    extract_workers: int = 1,
+    **knobs,
 ) -> ScalingResult:
     """Score one synthetic world under every requested blocking policy.
 
+    The world is a closed split (``aux_fraction``, ``split_seed``) of a
+    WebMD-like corpus of ``n_users`` generated with ``seed``.  The knobs it
+    reads (``top_k``, ``weights``, ``n_landmarks``, the ``blocking_*``
+    parameters and ``extract_workers``) come from ``config``, a
+    :class:`~repro.core.config.DeHealthConfig`, overridden by any given as
+    keywords: ``run_scaling(n_users=50, top_k=3, blocking_keep=0.5)``.
     The dense path (``"none"``) always runs — it is the recall reference —
     even when not listed in ``policies``; listed policies report in input
     order with ``"none"`` first.  ``policies`` entries may be single
     policies or ``"+"`` composites.
     """
+    config = replace(config or DeHealthConfig(), **knobs)
     for policy in policies:
         parse_blocking(policy)
     dataset = webmd_like(
@@ -138,11 +138,9 @@ def run_scaling(
     split = closed_world_split(dataset, aux_fraction=aux_fraction, seed=split_seed)
     extractor = FeatureExtractor(cache=ExtractionCache())
     extraction_started = time.perf_counter()
-    anonymized = UDAGraph(
-        split.anonymized, extractor=extractor, extract_workers=extract_workers
-    )
-    auxiliary = UDAGraph(
-        split.auxiliary, extractor=extractor, extract_workers=extract_workers
+    anonymized, auxiliary = (
+        UDAGraph(side, extractor=extractor, extract_workers=config.extract_workers)
+        for side in (split.anonymized, split.auxiliary)
     )
     extraction_s = time.perf_counter() - extraction_started
     total_pairs = anonymized.n_users * auxiliary.n_users
@@ -158,18 +156,7 @@ def run_scaling(
     def run_policy(policy: str) -> tuple:
         cache = SimilarityCache()
         computer = SimilarityComputer(
-            anonymized,
-            auxiliary,
-            weights=weights or SimilarityWeights(),
-            n_landmarks=n_landmarks,
-            cache=cache,
-            blocking=policy,
-            blocking_keep=blocking_keep,
-            blocking_lsh_bands=lsh_bands,
-            blocking_lsh_rows=lsh_rows,
-            blocking_ann_m=ann_m,
-            blocking_ann_ef=ann_ef,
-            blocking_seed=blocking_seed,
+            anonymized, auxiliary, config, cache=cache, blocking=policy
         )
         generation_started = time.perf_counter()
         mask = computer.candidate_mask()  # None for the dense path
@@ -178,7 +165,7 @@ def run_scaling(
         )
         started = time.perf_counter()
         scores = computer.scores()
-        topk = _topk_sets(scores, top_k)
+        topk = _topk_sets(scores, config.top_k)
         elapsed = generation_s + (time.perf_counter() - started)
         n_pairs = total_pairs if mask is None else mask.n_pairs
         tm_hits = sum(1 for i, col in truth_cols.items() if col in topk[i])
@@ -224,7 +211,7 @@ def run_scaling(
     return ScalingResult(
         n_anonymized=anonymized.n_users,
         n_auxiliary=auxiliary.n_users,
-        top_k=top_k,
+        top_k=config.top_k,
         rows=rows,
         extraction_s=extraction_s,
         extraction_stats=extractor.cache.counters(),

@@ -53,17 +53,19 @@ ALL_POLICIES = POLICIES + ANN_POLICIES
 #: Per-policy knobs for the recall gate — generous enough that the true
 #: match always survives on the rich corpora below (verified property).
 GATE_KNOBS = {
-    "degree_band": {"band_width": 2.0},
-    "attr_index": {"keep_fraction": 0.7},
-    "union": {"band_width": 1.0, "keep_fraction": 0.3},
+    "degree_band": {"blocking_band_width": 2.0},
+    "attr_index": {"blocking_keep": 0.7},
+    "union": {"blocking_band_width": 1.0, "blocking_keep": 0.3},
     # lsh: 2-bit bands make a bucket collision near-certain for any pair
     # with correlated profiles; no per-row cap, so the gate isolates the
     # bucketing itself
-    "lsh": {"lsh_bands": 64, "lsh_rows": 2, "keep_fraction": 1.0},
+    "lsh": {
+        "blocking_lsh_bands": 64, "blocking_lsh_rows": 2, "blocking_keep": 1.0,
+    },
     # ann_graph: a beam wider than the auxiliary side walks the whole
     # (connected-by-construction) NSW graph — exhaustive, so the gate
     # isolates graph connectivity
-    "ann_graph": {"ann_ef": 256, "keep_fraction": 1.0},
+    "ann_graph": {"blocking_ann_ef": 256, "blocking_keep": 1.0},
 }
 
 
@@ -148,7 +150,7 @@ class TestCandidateMask:
         expected = band.matrix.maximum(attr.matrix)
         assert (union.matrix != expected).nnz == 0
         assert union.n_pairs >= max(band.n_pairs, attr.n_pairs)
-        direct = build_candidates(g1, g2, "union", keep_fraction=0.3)
+        direct = build_candidates(g1, g2, blocking="union", blocking_keep=0.3)
         assert (union.matrix != direct.matrix).nnz == 0
 
     def test_attr_index_respects_keep_fraction(self, small_world):
@@ -161,12 +163,12 @@ class TestCandidateMask:
 
     def test_build_candidates_dispatch(self, small_world):
         _, g1, g2 = small_world
-        assert build_candidates(g1, g2, "none") is None
+        assert build_candidates(g1, g2, blocking="none") is None
         for policy in ALL_POLICIES:
-            mask = build_candidates(g1, g2, policy)
+            mask = build_candidates(g1, g2, blocking=policy)
             assert isinstance(mask, CandidateMask)
         with pytest.raises(ConfigError, match="blocking"):
-            build_candidates(g1, g2, "simhashx")
+            build_candidates(g1, g2, blocking="simhashx")
 
     def test_parameter_validation(self, small_world):
         _, g1, g2 = small_world
@@ -217,9 +219,9 @@ class TestCandidateMask:
 
     def test_composite_mask_is_or_of_parts(self, small_world):
         _, g1, g2 = small_world
-        composite = build_candidates(g1, g2, "lsh+degree_band")
-        lsh = build_candidates(g1, g2, "lsh")
-        band = build_candidates(g1, g2, "degree_band")
+        composite = build_candidates(g1, g2, blocking="lsh+degree_band")
+        lsh = build_candidates(g1, g2, blocking="lsh")
+        band = build_candidates(g1, g2, blocking="degree_band")
         expected = lsh.matrix.maximum(band.matrix)
         assert (composite.matrix != expected).nnz == 0
         # meta of both parts survives the union
@@ -302,7 +304,9 @@ class TestRecallGate:
             )
             g1 = UDAGraph(split.anonymized)
             g2 = UDAGraph(split.auxiliary)
-            mask = build_candidates(g1, g2, policy, **GATE_KNOBS[policy])
+            mask = build_candidates(
+                g1, g2, blocking=policy, **GATE_KNOBS[policy]
+            )
             aux_index = {u: j for j, u in enumerate(g2.users)}
             for i, anon in enumerate(g1.users):
                 target = split.truth.mapping.get(anon)

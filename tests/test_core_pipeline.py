@@ -243,4 +243,4 @@ class TestRefinedPrerank:
         attack.fit(
             small_split.anonymized, small_split.auxiliary, extractor=extractor
         )
-        assert attack._refined.keep_fraction == 0.5
+        assert attack._refined.config.refined_keep_fraction == 0.5

@@ -68,7 +68,8 @@ class TestRefinedDeanonymizer:
     def test_false_addition_can_reject(self, refined_setup):
         split, anon, aux = refined_setup
         engine = RefinedDeanonymizer(
-            anon, aux, classifier="knn", false_addition_count=3, seed=5
+            anon, aux, classifier="knn", verification="false_addition",
+            false_addition_count=3, seed=5,
         )
         anon_user = anon.users[0]
         target = split.truth.true_match(anon_user)
@@ -104,13 +105,13 @@ class TestPrerank:
         _, anon, aux = refined_setup
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ConfigError):
-                RefinedDeanonymizer(anon, aux, keep_fraction=bad)
+                RefinedDeanonymizer(anon, aux, refined_keep_fraction=bad)
 
     def test_full_fraction_is_inert(self, refined_setup):
         _, anon, aux = refined_setup
         plain = RefinedDeanonymizer(anon, aux, classifier="knn")
         keep_all = RefinedDeanonymizer(
-            anon, aux, classifier="knn", keep_fraction=1.0
+            anon, aux, classifier="knn", refined_keep_fraction=1.0
         )
         cand = list(aux.users[:4])
         assert plain.deanonymize_user(anon.users[0], cand) == (
@@ -126,14 +127,13 @@ class TestPrerank:
     def test_cut_by_scores(self, refined_setup):
         _, anon, aux = refined_setup
         engine = RefinedDeanonymizer(
-            anon, aux, classifier="knn", keep_fraction=0.5
+            anon, aux, classifier="knn", refined_keep_fraction=0.5
         )
         cand = list(aux.users[:4])
-        # scores rank the last two candidates highest
-        scores = [0.1, 0.2, 0.9, 0.8]
-        winner, details = engine.deanonymize_user(
-            anon.users[0], cand, candidate_scores=scores
-        )
+        # scores 0.1, 0.2, 0.9, 0.8 rank the last two candidates highest;
+        # phase 1 hands the set over best-first
+        best_first = [cand[2], cand[3], cand[1], cand[0]]
+        winner, details = engine.deanonymize_user(anon.users[0], best_first)
         assert set(details["scores"]) == {cand[2], cand[3]}
         assert engine.prerank_stats == {
             "users": 1,
@@ -144,32 +144,21 @@ class TestPrerank:
     def test_cut_without_scores_trusts_list_order(self, refined_setup):
         _, anon, aux = refined_setup
         engine = RefinedDeanonymizer(
-            anon, aux, classifier="knn", keep_fraction=0.5
+            anon, aux, classifier="knn", refined_keep_fraction=0.5
         )
         cand = list(aux.users[:4])
         winner, details = engine.deanonymize_user(anon.users[0], cand)
         assert set(details["scores"]) == set(cand[:2])
 
-    def test_score_ties_keep_list_order(self, refined_setup):
-        _, anon, aux = refined_setup
-        engine = RefinedDeanonymizer(
-            anon, aux, classifier="knn", keep_fraction=0.5
-        )
-        cand = list(aux.users[:4])
-        winner, details = engine.deanonymize_user(
-            anon.users[0], cand, candidate_scores=[0.5, 0.5, 0.5, 0.5]
-        )
-        assert set(details["scores"]) == set(cand[:2])
-
     def test_always_keeps_at_least_one(self, refined_setup):
         _, anon, aux = refined_setup
         engine = RefinedDeanonymizer(
-            anon, aux, classifier="knn", keep_fraction=0.01
+            anon, aux, classifier="knn", refined_keep_fraction=0.01
         )
         cand = list(aux.users[:4])
-        winner, details = engine.deanonymize_user(
-            anon.users[0], cand, candidate_scores=[0.0, 0.0, 1.0, 0.0]
-        )
+        # scores 0.0, 0.0, 1.0, 0.0, handed over best-first
+        best_first = [cand[2], cand[0], cand[1], cand[3]]
+        winner, details = engine.deanonymize_user(anon.users[0], best_first)
         # ceil(0.01 × 4) = 1: the single best-scored candidate survives
         assert winner == cand[2]
         assert details["reason"] == "single-candidate set"
