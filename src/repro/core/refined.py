@@ -141,9 +141,8 @@ class RefinedDeanonymizer:
         candidates best-first by phase-1 score, so the top
         ``ceil(refined_keep_fraction × |Cu|)`` are the head of the list.
         """
-        kept = candidates[
-            : max(1, int(np.ceil(self.config.refined_keep_fraction * len(candidates))))
-        ]
+        fraction = self.config.refined_keep_fraction
+        kept = candidates[: max(1, int(np.ceil(fraction * len(candidates))))]
         self.prerank_stats["users"] += 1
         self.prerank_stats["candidates_in"] += len(candidates)
         self.prerank_stats["candidates_kept"] += len(kept)
