@@ -260,11 +260,17 @@ class StateStore:
                 raise StoreError("state store is closed")
             return self._conn.execute(sql, params)
 
+    # A read fetches under the store lock: a SELECT left unfinished holds a
+    # read snapshot on the shared connection, and a write another thread
+    # runs meanwhile fails at once with "database is locked" whenever
+    # another connection to the file has committed since that snapshot.
     def query_one(self, sql: str, params: tuple = ()) -> "sqlite3.Row | None":
-        return self.execute(sql, params).fetchone()
+        with self._lock:
+            return self.execute(sql, params).fetchone()
 
     def query_all(self, sql: str, params: tuple = ()) -> list:
-        return self.execute(sql, params).fetchall()
+        with self._lock:
+            return self.execute(sql, params).fetchall()
 
     def transaction(self):
         """Context manager: the store lock + an IMMEDIATE transaction."""
