@@ -20,6 +20,7 @@ from repro.core.config import (
     KNOBS,
     DeHealthConfig,
     active_atoms,
+    check_knob,
     check_knobs,
     check_types,
     field_types,
@@ -75,13 +76,15 @@ class AttackRequest:
     :class:`~repro.core.DeHealthConfig`'s; :meth:`to_config` hands them
     over.  Each knob's declaration decides the rest.  A knob that no
     active atom reads — a blocking parameter of a policy the request does
-    not name, ``refined_keep_fraction`` with ``refined=False`` — is reset
-    to its default, so requests that behave alike compare equal and
-    ``to_dict``/``from_dict`` is a strict round-trip.  A knob travels on
-    the wire always, while one of its atoms is active, or while it is not
-    at its default, as its wire rule says; so a request that leaves the
-    blocking, pre-rank, extraction-width and deadline knobs alone keeps
-    the wire form and the hash it had before they existed.
+    not name, ``refined_keep_fraction`` with ``refined=False`` — is
+    checked against its declared type and bound, raising
+    :class:`~repro.errors.ConfigError`, and then reset to its default, so
+    requests that behave alike compare equal and ``to_dict``/``from_dict``
+    is a strict round-trip.  A knob travels on the wire always, while one
+    of its atoms is active, or while it is not at its default, as its
+    wire rule says; so a request that leaves the blocking, pre-rank,
+    extraction-width and deadline knobs alone keeps the wire form and the
+    hash it had before they existed.
     """
 
     corpus: str = "default"
@@ -100,6 +103,7 @@ class AttackRequest:
         atoms = active_atoms(self, self.refined)
         for spec in _SCOPED:
             if spec.atoms.isdisjoint(atoms):
+                check_knob(self, spec)  # the reset would hide a bad value
                 object.__setattr__(self, spec.name, spec.default)
 
     # --- validation / conversion ---------------------------------------

@@ -430,6 +430,9 @@ _BOUNDED: tuple = tuple(spec for spec in KNOBS if spec.accepts is not None)
 _TYPED: tuple = field_types(
     DeHealthConfig, [spec.name for spec in KNOBS if not spec.coerce]
 )
+#: The same tests by knob name: its declared type and the value types
+#: that type admits.
+_TYPED_EACH: dict = dict(zip(_TYPED[0], zip(_TYPED[1], _TYPED[2])))
 
 
 def active_atoms(knobs, refined: bool = True) -> set:
@@ -455,9 +458,7 @@ def check_knobs(knobs) -> None:
     policy parsing.  The checks that span knobs stay here, written out."""
     check_types(knobs, _TYPED)
     for spec in _BOUNDED:
-        value = getattr(knobs, spec.name)
-        if not spec.accepts(value):
-            raise ConfigError(f"{spec.name} must be {spec.bound()}, got {value!r}")
+        _check_bound(spec, getattr(knobs, spec.name))
     weights = knobs.weights
     if not isinstance(weights, SimilarityWeights):
         weights = SimilarityWeights(*weights)
@@ -470,3 +471,21 @@ def check_knobs(knobs) -> None:
             f"bits, got {knobs.blocking_lsh_bands} × "
             f"2^{knobs.blocking_lsh_rows}"
         )
+
+
+def check_knob(knobs, spec: Knob) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless the knob ``spec`` of
+    ``knobs`` holds a value of its declared type within its bound: what
+    :func:`check_knobs` checks of every knob, for one."""
+    value = getattr(knobs, spec.name)
+    if spec.name in _TYPED_EACH:
+        declared, admitted = _TYPED_EACH[spec.name]
+        if type(value) not in admitted:
+            raise ConfigError(f"{spec.name} must be {declared}, got {value!r}")
+    if spec.accepts is not None:
+        _check_bound(spec, value)
+
+
+def _check_bound(spec: Knob, value) -> None:
+    if not spec.accepts(value):
+        raise ConfigError(f"{spec.name} must be {spec.bound()}, got {value!r}")

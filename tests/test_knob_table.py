@@ -184,3 +184,25 @@ def test_wrong_typed_field_is_a_400(typed_app, name, value, body):
     assert res.status == 400, (body, res.json)
     assert res.json["error"]["type"] == "ConfigError"
     assert name in res.json["error"]["message"]
+
+
+#: Bodies whose bad knob no active atom reads: the knob is reset to its
+#: default, which must not hide the bad value.
+INERT_BAD_BODIES = (
+    {"blocking_lsh_rows": "x"},
+    {"blocking_lsh_rows": 500},
+    {"refined": False, "refined_keep_fraction": "half"},
+)
+
+
+@pytest.mark.parametrize(
+    "bad", INERT_BAD_BODIES, ids=[repr(body) for body in INERT_BAD_BODIES]
+)
+def test_inert_knob_is_checked_before_its_reset(typed_app, bad):
+    body = {"corpus": "typed", "n_landmarks": 5, "top_k": 5,
+            "classifier": "centroid", "refined": False, **bad}
+    res = call_app(typed_app, "POST", "/attack", body)
+    assert res.status == 400, (body, res.json)
+    assert res.json["error"]["type"] == "ConfigError"
+    (name,) = bad.keys() - {"refined"}
+    assert name in res.json["error"]["message"]
