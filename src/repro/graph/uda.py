@@ -10,8 +10,6 @@ in array form indexed by a stable user ordering.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 from scipy import sparse
 
@@ -88,32 +86,14 @@ class UDAGraph:
 
         Posts are flattened in user order (so parallel chunking follows
         user boundaries closely), extracted once via the extractor's
-        cache-aware batch path, and aggregated back into per-user
-        A(u)/WA(u) rows — numerically identical to per-user
-        :meth:`~repro.stylometry.FeatureExtractor.attribute_profile` calls.
+        cache-aware batch path, and counted into per-user A(u)/WA(u) rows
+        by :meth:`~repro.stylometry.FeatureExtractor.attribute_weights`,
+        which :meth:`~repro.stylometry.FeatureExtractor.attribute_profile`
+        shares.
         """
-        texts_per_user = [self.dataset.post_texts_of(u) for u in self.users]
-        flat = [text for texts in texts_per_user for text in texts]
-        rows = self.extractor.extract_rows(
-            flat, workers=self.extract_workers, copy=False
-        )
-        indptr = [0]
-        indices: list[int] = []
-        data: list[int] = []
-        pos = 0
-        for texts in texts_per_user:
-            post_counts: Counter = Counter()
-            for row in rows[pos : pos + len(texts)]:
-                post_counts.update(row.keys())
-            pos += len(texts)
-            slots = sorted(post_counts)
-            indices.extend(slots)
-            data.extend(post_counts[s] for s in slots)
-            indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (data, indices, indptr),
-            shape=(len(self.users), self.extractor.space.size),
-            dtype=np.int64,
+        return self.extractor.attribute_weights(
+            [self.dataset.post_texts_of(u) for u in self.users],
+            workers=self.extract_workers,
         )
 
     # --- convenience accessors -----------------------------------------

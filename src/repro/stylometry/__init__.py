@@ -7,10 +7,11 @@ uppercase percentage, special characters, word shape), syntactic
 (misspellings).  :class:`FeatureSpace` fixes the slot layout;
 :class:`FeatureExtractor` maps post text to vectors over it;
 :class:`ExtractionCache` memoizes extracted rows by post content so
-re-fits, sweeps, and executor shards extract each distinct post once.
+re-fits, sweeps, and executor shards extract each distinct post once;
+each row is a read-only :class:`PostRow` of two arrays.
 """
 
-from repro.stylometry.cache import ExtractionCache
+from repro.stylometry.cache import ExtractionCache, PostRow
 from repro.stylometry.features import FeatureSpace, default_feature_space
 from repro.stylometry.extractor import (
     FeatureExtractor,
@@ -24,6 +25,7 @@ __all__ = [
     "FeatureExtractor",
     "FeatureSpace",
     "MAX_EXTRACT_WORKERS",
+    "PostRow",
     "UserAttributeProfile",
     "default_feature_space",
     "resolve_extract_workers",

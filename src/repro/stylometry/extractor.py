@@ -26,7 +26,11 @@ The extraction hot path is engineered for corpus scale:
   post twice;
 * :meth:`FeatureExtractor.extract_rows` batches many posts, optionally
   fanning the cache misses out to a ``concurrent.futures`` process pool in
-  deterministic chunks.
+  deterministic chunks;
+* every batched row is a read-only :class:`~repro.stylometry.cache.PostRow`
+  (sorted int32 slots, float64 values), so the post matrices, the user
+  attribute counts and the mean vector are array operations over the
+  concatenated rows, with no loop over slots.
 
 Every one of those paths produces byte-identical feature values to the
 naive per-post loop: each value is either an exact integer ratio (the same
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.stylometry.cache import ExtractionCache
+from repro.stylometry.cache import ExtractionCache, PostRow
 from repro.testing import faults
 from repro.stylometry.features import (
     FeatureSpace,
@@ -97,7 +101,18 @@ def _init_extract_worker(extractor: "FeatureExtractor") -> None:
 
 def _extract_chunk(texts: list) -> list:
     """Worker entry: extract one chunk of posts (module-level: picklable)."""
-    return [_WORKER_EXTRACTOR._extract_row(text) for text in texts]
+    return [PostRow.pack(_WORKER_EXTRACTOR._extract_row(text)) for text in texts]
+
+
+def _concat(rows: list) -> tuple:
+    """The rows' slots and values end to end, and the offset at which each
+    row starts (a CSR ``indptr``)."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    if not rows:
+        return np.empty(0, dtype=np.int32), np.empty(0), indptr
+    slots = np.concatenate([row.slots for row in rows])
+    return slots, np.concatenate([row.data for row in rows]), indptr
 
 
 @dataclass(frozen=True)
@@ -340,9 +355,9 @@ class FeatureExtractor:
             return self._extract_row(text)
         row = cache.get(text)
         if row is None:
-            row = self._extract_row(text)
+            row = PostRow.pack(self._extract_row(text))
             cache.put(text, row)
-        return dict(row)
+        return row.as_dict()
 
     # --- batched extraction ----------------------------------------------
 
@@ -352,16 +367,16 @@ class FeatureExtractor:
         workers: int = 1,
         copy: bool = True,
     ) -> list:
-        """Extract many posts; rows come back in input order.
+        """Extract many posts into :class:`PostRow` rows, in input order.
 
         Duplicate texts in the batch are extracted once; with an attached
         cache, previously seen posts are never re-extracted.  ``workers >
         1`` fans the cache misses out to a process pool in deterministic
         contiguous chunks (``0`` = one worker per core); output is
         byte-identical to serial on every path because each row is a pure
-        function of its text.  With ``copy=False`` the returned dicts may
-        be shared cache entries and must be treated as read-only (the
-        internal aggregation paths use this to skip defensive copies).
+        function of its text.  Rows are read-only and may be shared cache
+        entries, so ``copy`` has no effect; it stays for callers that pass
+        it.
         """
         # chaos seam: batched extraction is where job shards spend their
         # time, so this is where a crashing worker is simulated
@@ -373,7 +388,7 @@ class FeatureExtractor:
         for i, text in enumerate(texts):
             row = cache.get(text) if cache is not None else None
             if row is not None:
-                rows[i] = dict(row) if copy else row
+                rows[i] = row
             else:
                 pending.setdefault(text, []).append(i)
 
@@ -382,16 +397,16 @@ class FeatureExtractor:
         for text, row in zip(miss_texts, computed):
             if cache is not None:
                 cache.put(text, row)
-            indexes = pending[text]
-            for i in indexes:
-                rows[i] = dict(row) if copy else row
+            for i in pending[text]:
+                rows[i] = row
         return rows
 
     def _compute_rows(self, texts: list, workers: int) -> list:
-        """Extract distinct texts, serially or across a process pool."""
+        """Extract and pack distinct texts, serially or across a process
+        pool (each post's dict is packed as soon as it is built)."""
         workers = resolve_extract_workers(workers)
         if workers <= 1 or len(texts) < _MIN_PARALLEL_TEXTS:
-            return [self._extract_row(text) for text in texts]
+            return [PostRow.pack(self._extract_row(text)) for text in texts]
         from concurrent.futures import ProcessPoolExecutor
 
         # Forking a multi-threaded parent (the threading WSGI server) can
@@ -428,37 +443,56 @@ class FeatureExtractor:
     ) -> sparse.csr_matrix:
         """Extract many posts into a CSR matrix of shape ``(n_posts, M)``."""
         rows = self.extract_rows(texts, workers=workers, copy=False)
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for row in rows:
-            for slot in sorted(row):
-                indices.append(slot)
-                data.append(row[slot])
-            indptr.append(len(indices))
+        slots, data, indptr = _concat(rows)
         return sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(rows), self.space.size)
+            (data, slots, indptr), shape=(len(rows), self.space.size)
+        )
+
+    def attribute_weights(
+        self, texts_per_user: Sequence[Sequence[str]], workers: int = 1
+    ) -> sparse.csr_matrix:
+        """WA(u) of many users: a CSR matrix ``(n_users, M)`` of int64
+        counts whose entry ``(u, i)`` is ``l_u(A_i)``, the number of
+        ``u``'s posts with feature ``F_i``.
+
+        The posts of every user are extracted in one batch, in user order;
+        each post's slots then count once for its user, as ``user × M +
+        slot`` codes counted by one sort.
+        """
+        flat = [text for texts in texts_per_user for text in texts]
+        rows = self.extract_rows(flat, workers=workers, copy=False)
+        slots, _, post_ptr = _concat(rows)
+        n_users, size = len(texts_per_user), self.space.size
+        user_ptr = post_ptr[np.cumsum([0] + [len(t) for t in texts_per_user])]
+        owners = np.repeat(np.arange(n_users), np.diff(user_ptr))
+        codes, counts = np.unique(owners * size + slots, return_counts=True)
+        indptr = np.searchsorted(codes, np.arange(n_users + 1) * size)
+        return sparse.csr_matrix(
+            (counts, codes % size, indptr),
+            shape=(n_users, size),
+            dtype=np.int64,
         )
 
     def attribute_profile(self, texts: Iterable[str]) -> UserAttributeProfile:
         """Aggregate a user's posts into A(u) / WA(u) (binary + weights)."""
-        rows = self.extract_rows(list(texts), copy=False)
-        post_counts: Counter[int] = Counter()
-        for row in rows:
-            post_counts.update(row.keys())
-        slots = np.array(sorted(post_counts), dtype=np.int64)
-        weights = np.array([post_counts[s] for s in slots], dtype=np.int64)
+        texts = list(texts)
+        counts = self.attribute_weights([texts])
         return UserAttributeProfile(
-            slots=slots, weights=weights, n_posts=len(rows)
+            slots=counts.indices.astype(np.int64),
+            weights=counts.data,
+            n_posts=len(texts),
         )
 
     def mean_vector(self, texts: Sequence[str]) -> np.ndarray:
-        """Mean post vector of a user (dense); zeros if no posts."""
+        """Mean post vector of a user (dense); zeros if no posts.
+
+        Each slot's values are summed in post order, as a running ``+=``
+        over the posts would.
+        """
         rows = self.extract_rows(texts, copy=False)
-        vec = np.zeros(self.space.size)
-        for row in rows:
-            for slot, value in row.items():
-                vec[slot] += value
+        slots, data, _ = _concat(rows)
+        vec = np.bincount(slots, weights=data, minlength=self.space.size)
+        vec = vec.astype(np.float64, copy=False)  # int64 when no slot is set
         if rows:
             vec /= len(rows)
         return vec
