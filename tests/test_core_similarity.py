@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.core import SimilarityCache, SimilarityComputer, SimilarityWeights
-from repro.core.similarity import _cosine_matrix, _minmax_ratio_matrix
+from repro.core.similarity import (
+    _attribute_dense_block,
+    _cosine_matrix,
+    _minmax_ratio_matrix,
+)
 from repro.forum import closed_world_split
 from repro.graph import UDAGraph
+from repro.utils.stats import jaccard, weighted_jaccard
+from tests.goldens import golden_corpus
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +177,109 @@ class TestSignal:
         # cap=1 reduces the weighted Jaccard to the binary Jaccard, so the
         # attribute component differs from the cap=64 one
         assert not np.allclose(a.attribute_similarity(), b.attribute_similarity())
+
+
+# --- s^a against a pair-by-pair oracle -------------------------------------
+
+
+def _capped(W, cap: int) -> sparse.csr_matrix:
+    """``W`` capped at ``cap``, as ``SimilarityComputer`` hands it over."""
+    W = sparse.csr_matrix(W, dtype=np.int64)
+    W.data = np.minimum(W.data, cap)
+    return W
+
+
+def _weight_dicts(W: sparse.csr_matrix) -> list:
+    """Each row of ``W`` as its ``{slot: weight}`` dict of positive weights."""
+    return [
+        {
+            int(k): int(w)
+            for k, w in zip(W.indices[lo:hi], W.data[lo:hi])
+            if w > 0
+        }
+        for lo, hi in zip(W.indptr[:-1], W.indptr[1:])
+    ]
+
+
+def oracle_attribute_block(W1, W2) -> np.ndarray:
+    """``jaccard + weighted_jaccard`` of every pair of capped rows."""
+    rows1, rows2 = _weight_dicts(W1), _weight_dicts(W2)
+    out = np.empty((len(rows1), len(rows2)))
+    for i, a in enumerate(rows1):
+        for j, b in enumerate(rows2):
+            out[i, j] = jaccard(a, b) + weighted_jaccard(a, b)
+    return out
+
+
+def _assert_matches_oracle(W1, W2, cap: int) -> None:
+    W1, W2 = _capped(W1, cap), _capped(W2, cap)
+    block = _attribute_dense_block(W1, W2, cap)
+    expected = oracle_attribute_block(W1, W2)
+    assert block.dtype == np.float64
+    assert block.shape == expected.shape
+    assert block.tobytes() == expected.tobytes()
+
+
+@st.composite
+def weight_pairs(draw):
+    """Two small count matrices over one attribute space, and a cap.
+
+    Half the cells are empty, so rows without attributes and pairs with no
+    shared column come up often; counts reach past 255 so the 300 cap
+    keeps weights that a byte cannot hold.
+    """
+    n_cols = draw(st.integers(1, 12))
+    cell = st.one_of(st.just(0), st.integers(1, 400))
+
+    def matrix():
+        n_rows = draw(st.integers(1, 6))
+        cells = draw(st.lists(cell, min_size=n_rows * n_cols,
+                              max_size=n_rows * n_cols))
+        return np.array(cells, dtype=np.int64).reshape(n_rows, n_cols)
+
+    return matrix(), matrix(), draw(st.sampled_from((1, 64, 300)))
+
+
+class TestAttributeOracle:
+    """``s^a`` equals the pair-by-pair Jaccard + weighted Jaccard of the
+    capped ``{slot: weight}`` dicts, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(weight_pairs())
+    def test_random_matrices(self, drawn):
+        W1, W2, cap = drawn
+        _assert_matches_oracle(W1, W2, cap)
+
+    @pytest.mark.parametrize("cap", [1, 64, 300])
+    def test_no_shared_column_and_empty_rows(self, cap):
+        W1 = np.array([[3, 0, 0, 0], [0, 0, 0, 0], [280, 1, 0, 0]])
+        W2 = np.array([[0, 0, 5, 0], [0, 0, 0, 0], [0, 0, 0, 290]])
+        _assert_matches_oracle(W1, W2, cap)
+
+    @pytest.mark.parametrize("cap", [1, 64, 300])
+    def test_deep_weights(self, cap):
+        rng = np.random.default_rng(5)
+        W1 = rng.integers(0, 320, size=(7, 40)) * (rng.random((7, 40)) < 0.5)
+        W2 = rng.integers(0, 320, size=(9, 40)) * (rng.random((9, 40)) < 0.5)
+        _assert_matches_oracle(W1, W2, cap)
+
+    def test_wide_rows_past_two_bytes(self):
+        """300 shared columns at weights near the 300 cap: a pair's
+        Σ min(w1, w2) passes 65,535."""
+        rng = np.random.default_rng(9)
+        W1 = rng.integers(250, 301, size=(2, 300))
+        W2 = rng.integers(250, 301, size=(3, 300))
+        assert np.minimum(W1.max(axis=0), W2.max(axis=0)).sum() > 65_535
+        _assert_matches_oracle(W1, W2, 300)
+
+    def test_golden_split(self):
+        corpus = golden_corpus()
+        split = closed_world_split(corpus, aux_fraction=0.5, seed=118)
+        anon = UDAGraph(split.anonymized)
+        aux = UDAGraph(split.auxiliary)
+        sim = SimilarityComputer(anon, aux)
+        cap = sim.config.attribute_weight_cap
+        expected = oracle_attribute_block(
+            _capped(anon.attr_weights, cap), _capped(aux.attr_weights, cap)
+        )
+        assert sim.attribute_similarity().tobytes() == expected.tobytes()
