@@ -10,10 +10,13 @@
   of WA(u)/WA(v).
 
 Each component has one kernel, which builds its full ``n1 × n2`` block
-with vectorised NumPy/SciPy code; the weighted Jaccard uses a level-set
-decomposition (Σ min(a,b) = Σ_t |{a ≥ t} ∩ {b ≥ t}| for integer weights)
-so it reduces to a short series of sparse boolean matmuls.  The blocks
-are built once per split and cached, and both scoring paths read them.
+with vectorised NumPy/SciPy code.  ``s^a`` works on the attribute columns
+that both sides use, densified once: an attribute missing from either
+side adds nothing to a pair's overlap or to its Σ min(w1, w2), so one
+BLAS product of their 0/1 pattern gives the overlap counts and one
+``np.minimum.outer`` per shared column gives the weighted numerator, all
+in exact integers.  The blocks are built once per split and cached, and
+both scoring paths read them.
 Either way the Top-K phase receives one score type, a
 :class:`~repro.core.blocking.SparseSimilarity`:
 
@@ -88,44 +91,69 @@ def _pad_ncs(ncs: list, width: int) -> np.ndarray:
     return out
 
 
+def _capped(W: sparse.spmatrix, cap: int) -> sparse.csr_matrix:
+    """Integer weights ``W`` as a new CSR matrix, each capped at ``cap``."""
+    W = sparse.csr_matrix(W, dtype=np.int64, copy=True)
+    np.minimum(W.data, cap, out=W.data)
+    return W
+
+
 def _attribute_dense_block(
-    W1: sparse.csr_matrix, W2: sparse.csr_matrix, cap: int
+    W1: sparse.spmatrix, W2: sparse.spmatrix, cap: int
 ) -> np.ndarray:
-    """Jaccard + weighted Jaccard of capped weight rows, as a dense block.
+    """Jaccard + weighted Jaccard of weight rows capped at ``cap``, as a
+    dense block.
 
     The whole ``n1 × n2`` block of one split: the dense path reads it as
-    ``s^a`` and the blocked path samples it at the candidate pairs.  The
-    Σ min(w1, w2) numerator uses the level-set decomposition.  Capped
-    weights are positive integers, so level 1 (``w ≥ 1``) is the overlap
-    product the Jaccard already needs; the deeper levels' products are
-    accumulated as sparse matrices and densified once.  Every level
-    contributes exact small integers, so the sum is bit-identical to
-    summing dense levels in any order.
+    ``s^a`` and the blocked path samples it at the candidate pairs.  A
+    column that is empty on either side adds nothing to any pair's overlap
+    |A(u) ∩ A(v)| or numerator Σ min(w1, w2), so both are summed over the
+    shared columns only, densified once: the overlap is one float64 BLAS
+    product of their 0/1 pattern, and the numerator adds one
+    ``np.minimum.outer`` per shared column into an accumulator.  The
+    weights are stored in the smallest unsigned dtype that holds the
+    largest of them, and the accumulator in the smallest that holds
+    Σ_k min(max1_k, max2_k), which bounds every pair's numerator.  Set
+    sizes and weight sums run over all columns.
+
+    Every intermediate is an exact integer, so the block does not depend
+    on the order of any sum: it equals ``jaccard + weighted_jaccard`` of
+    each pair's ``{slot: weight}`` dicts bit for bit, for every cap.
     """
-    B1 = (W1 > 0).astype(np.float64)
-    B2 = (W2 > 0).astype(np.float64)
-    sizes1 = np.asarray(B1.sum(axis=1)).ravel()
-    sizes2 = np.asarray(B2.sum(axis=1)).ravel()
-    inter = (B1 @ B2.T).toarray()
+    W1, W2 = _capped(W1, cap), _capped(W2, cap)
+    B1, B2 = W1 > 0, W2 > 0
+    sizes1 = np.asarray(B1.sum(axis=1), dtype=np.float64).ravel()
+    sizes2 = np.asarray(B2.sum(axis=1), dtype=np.float64).ravel()
+    sum1 = np.asarray(W1.sum(axis=1), dtype=np.float64).ravel()
+    sum2 = np.asarray(W2.sum(axis=1), dtype=np.float64).ravel()
+
+    shared = np.flatnonzero(
+        np.logical_and(B1.getnnz(axis=0), B2.getnnz(axis=0))
+    )
+    D1 = W1[:, shared].toarray()
+    D2 = W2[:, shared].toarray()
+    inter = (D1 > 0).astype(np.float64) @ (D2 > 0).astype(np.float64).T
+
+    max1 = D1.max(axis=0, initial=0)
+    max2 = D2.max(axis=0, initial=0)
+    values = np.min_scalar_type(max(max1.max(initial=0), max2.max(initial=0)))
+    bound = np.minimum(max1, max2).sum()
+    min_sum = np.zeros(inter.shape, dtype=np.min_scalar_type(bound))
+    term = np.empty(inter.shape, dtype=values)
+    # one contiguous row per shared column; no term exceeds ``bound``
+    C1 = D1.T.astype(values, order="C")
+    C2 = D2.T.astype(values, order="C")
+    for a, b in zip(C1, C2):
+        np.minimum.outer(a, b, out=term)
+        min_sum += term
+    min_sum = min_sum.astype(np.float64)
+
     union = sizes1[:, None] + sizes2[None, :] - inter
     jac = np.ones_like(inter)
     np.divide(inter, union, out=jac, where=union > 0)
-
-    deeper: "sparse.spmatrix | None" = None
-    for level in range(2, cap + 1):
-        B1t = (W1 >= level).astype(np.float64)
-        B2t = (W2 >= level).astype(np.float64)
-        if B1t.nnz == 0 or B2t.nnz == 0:
-            break
-        product = B1t @ B2t.T
-        deeper = product if deeper is None else deeper + product
-    min_sum = inter if deeper is None else inter + deeper.toarray()
-    sum1 = np.asarray(W1.sum(axis=1)).ravel().astype(np.float64)
-    sum2 = np.asarray(W2.sum(axis=1)).ravel().astype(np.float64)
     max_sum = sum1[:, None] + sum2[None, :] - min_sum
     wjac = np.ones_like(inter)
     np.divide(min_sum, max_sum, out=wjac, where=max_sum > 0)
-
     return jac + wjac
 
 
@@ -335,12 +363,11 @@ class SimilarityComputer:
         )
 
     def _build_attribute(self) -> np.ndarray:
-        cap = self.config.attribute_weight_cap
-        W1 = self.anonymized.attr_weights.astype(np.int64).tocsr().copy()
-        W2 = self.auxiliary.attr_weights.astype(np.int64).tocsr().copy()
-        W1.data = np.minimum(W1.data, cap)
-        W2.data = np.minimum(W2.data, cap)
-        return _attribute_dense_block(W1, W2, cap)
+        return _attribute_dense_block(
+            self.anonymized.attr_weights,
+            self.auxiliary.attr_weights,
+            self.config.attribute_weight_cap,
+        )
 
     # --- combination ----------------------------------------------------
 
