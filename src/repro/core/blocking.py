@@ -675,7 +675,7 @@ _NSW_SEED_CAP = 16
 
 #: Pair chunk of the projected-similarity gathers and query chunk of the
 #: exact rescore — bound peak memory of build and batched search.
-_NSW_PAIR_CHUNK = 65536
+_NSW_PAIR_CHUNK = 8192
 _NSW_QUERY_CHUNK = 256
 
 

@@ -581,3 +581,26 @@ class TestNSWDegenerate:
         # zero rows score 0.0, never NaN
         by_node = dict((j, s) for s, j in found)
         assert by_node[1] == 0.0 and by_node[3] == 0.0
+
+
+class TestPairSimsChunking:
+    """``_pair_sims`` gathers its row pairs one chunk at a time; the chunk
+    size bounds memory only and never changes a similarity's bytes."""
+
+    def test_same_bytes_at_every_chunk_size(self, monkeypatch):
+        import repro.core.blocking as blocking
+
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((300, blocking.NSW_EXPLORE_DIMS))
+        B = rng.standard_normal((200, blocking.NSW_EXPLORE_DIMS))
+        A, B = A.astype(np.float32), B.astype(np.float32)
+        n_pairs = 2 * blocking._NSW_PAIR_CHUNK + 5
+        left = rng.integers(0, len(A), size=n_pairs)
+        right = rng.integers(0, len(B), size=n_pairs)
+
+        expected = blocking._pair_sims(A, B, left, right)
+        assert expected.dtype == np.float32 and len(expected) == n_pairs
+        for chunk in (1, 7):
+            monkeypatch.setattr(blocking, "_NSW_PAIR_CHUNK", chunk)
+            got = blocking._pair_sims(A, B, left, right)
+            assert got.tobytes() == expected.tobytes(), chunk
