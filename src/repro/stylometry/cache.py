@@ -25,7 +25,7 @@ post of ~200 slots; the two arrays hold the same row in about 2.6 KiB.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -126,13 +126,20 @@ class ExtractionCache:
 
     def get(self, text: str) -> "PostRow | None":
         """The cached row for ``text``, or ``None`` (counted as hit/miss)."""
-        row = self._rows.get(text)
+        return self.get_many([text])[0]
+
+    def get_many(self, texts: Sequence[str]) -> list:
+        """The cached row (or ``None``) of every text, in input order.
+
+        Each text counts as one hit or miss, duplicates included, as a
+        :meth:`get` per text would; the batch takes the mutex once.
+        """
+        rows = [self._rows.get(text) for text in texts]
+        misses = sum(row is None for row in rows)
         with self._mutex:
-            if row is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return row
+            self.misses += misses
+            self.hits += len(rows) - misses
+        return rows
 
     def put(self, text: str, row: Mapping) -> None:
         """Store the extracted ``row`` for ``text``, packed (first writer

@@ -382,15 +382,12 @@ class FeatureExtractor:
         # time, so this is where a crashing worker is simulated
         faults.fire(faults.SEAM_EXTRACT)
         texts = list(texts)
-        rows: list = [None] * len(texts)
         cache = self.cache
+        rows = cache.get_many(texts) if cache is not None else [None] * len(texts)
         pending: dict[str, list[int]] = {}
-        for i, text in enumerate(texts):
-            row = cache.get(text) if cache is not None else None
-            if row is not None:
-                rows[i] = row
-            else:
-                pending.setdefault(text, []).append(i)
+        for i, row in enumerate(rows):
+            if row is None:
+                pending.setdefault(texts[i], []).append(i)
 
         miss_texts = list(pending)
         computed = self._compute_rows(miss_texts, workers)

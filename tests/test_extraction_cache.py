@@ -48,6 +48,32 @@ class TestExtractionCache:
         assert c["builds"] == 1 and c["entries"] == 1
         assert c["bytes"] > 0
 
+    def test_get_many_counts_as_per_post_gets(self, texts):
+        """A batch lookup counts every text, duplicates included, as one
+        :meth:`get` per text does, and returns the same rows."""
+        batch = texts[:30] + texts[10:15] + ["never seen", "never seen"]
+        batched, single = ExtractionCache(), ExtractionCache()
+        for cache in (batched, single):
+            for text in texts[5:20]:
+                cache.put(text, {1: 1.0})
+        rows = batched.get_many(batch)
+        assert rows == [single.get(text) for text in batch]
+        assert (batched.hits, batched.misses) == (single.hits, single.misses)
+        assert batched.hits > 0 and batched.misses > 0
+
+    def test_extract_rows_counts_as_per_post_gets(self, texts):
+        """``extract_rows`` counts a batch as a per-post ``get`` loop over
+        it, followed by the misses' ``put``, would."""
+        batches = (texts[:10], texts[:20] + texts[:20] + texts[15:25])
+        fx = FeatureExtractor(cache=ExtractionCache())
+        single = ExtractionCache()
+        for batch in batches:
+            fx.extract_rows(batch)
+            for text in [t for t in batch if single.get(t) is None]:
+                single.put(text, {})
+        assert (fx.cache.hits, fx.cache.misses) == (single.hits, single.misses)
+        assert fx.cache.hits > 0 and fx.cache.misses > 0
+
     def test_first_writer_wins(self):
         cache = ExtractionCache()
         cache.put("t", {1: 1.0})
