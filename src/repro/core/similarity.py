@@ -130,22 +130,20 @@ def _attribute_dense_block(
     shared = np.flatnonzero(
         np.logical_and(B1.getnnz(axis=0), B2.getnnz(axis=0))
     )
-    D1 = W1[:, shared].toarray()
-    D2 = W2[:, shared].toarray()
-    inter = (D1 > 0).astype(np.float64) @ (D2 > 0).astype(np.float64).T
+    largest = max(W1.data.max(initial=0), W2.data.max(initial=0))
+    values = np.min_scalar_type(largest)
+    # one contiguous row of weights per shared column
+    C1 = W1[:, shared].T.tocsr().astype(values).toarray()
+    C2 = W2[:, shared].T.tocsr().astype(values).toarray()
+    inter = (C1 > 0).astype(np.float64).T @ (C2 > 0).astype(np.float64)
 
-    max1 = D1.max(axis=0, initial=0)
-    max2 = D2.max(axis=0, initial=0)
-    values = np.min_scalar_type(max(max1.max(initial=0), max2.max(initial=0)))
+    max1, max2 = C1.max(axis=1, initial=0), C2.max(axis=1, initial=0)
     bound = np.minimum(max1, max2).sum()
     min_sum = np.zeros(inter.shape, dtype=np.min_scalar_type(bound))
     term = np.empty(inter.shape, dtype=values)
-    # one contiguous row per shared column; no term exceeds ``bound``
-    C1 = D1.T.astype(values, order="C")
-    C2 = D2.T.astype(values, order="C")
     for a, b in zip(C1, C2):
         np.minimum.outer(a, b, out=term)
-        min_sum += term
+        min_sum += term  # no term exceeds ``bound``
     min_sum = min_sum.astype(np.float64)
 
     union = sizes1[:, None] + sizes2[None, :] - inter
