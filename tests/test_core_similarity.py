@@ -183,7 +183,7 @@ class TestSignal:
 
 
 def _capped(W, cap: int) -> sparse.csr_matrix:
-    """``W`` capped at ``cap``, as ``SimilarityComputer`` hands it over."""
+    """``W`` as int64 CSR capped at ``cap``: the weights the kernel scores."""
     W = sparse.csr_matrix(W, dtype=np.int64)
     W.data = np.minimum(W.data, cap)
     return W
