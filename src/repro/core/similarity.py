@@ -14,9 +14,10 @@ with vectorised NumPy/SciPy code.  ``s^a`` works on the attribute columns
 that both sides use, densified once: an attribute missing from either
 side adds nothing to a pair's overlap or to its Σ min(w1, w2), so one
 BLAS product of their 0/1 pattern gives the overlap counts and one
-``np.minimum.outer`` per shared column gives the weighted numerator, all
-in exact integers.  The blocks are built once per split and cached, and
-both scoring paths read them.
+``np.minimum.outer`` per shared column gives the weighted numerator.
+Both are exact integers, so the block does not depend on the order of
+any sum.  The blocks are built once per split and cached, and both
+scoring paths read them.
 Either way the Top-K phase receives one score type, a
 :class:`~repro.core.blocking.SparseSimilarity`:
 
