@@ -14,6 +14,9 @@ floor-filled dense semantics they are defined by, on randomly generated
 masks and scores.
 """
 
+import ast
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -604,3 +607,158 @@ class TestPairSimsChunking:
             monkeypatch.setattr(blocking, "_NSW_PAIR_CHUNK", chunk)
             got = blocking._pair_sims(A, B, left, right)
             assert got.tobytes() == expected.tobytes(), chunk
+
+
+@pytest.fixture(scope="module")
+def pin_worlds(small_world):
+    """The module's ``small_world`` and closed split 118 of the golden
+    corpus, as ``(anonymized, auxiliary)`` graph pairs."""
+    from tests.goldens import golden_corpus
+
+    golden = closed_world_split(golden_corpus(), aux_fraction=0.5, seed=118)
+    return {
+        "small": small_world[1:],
+        "golden118": (UDAGraph(golden.anonymized), UDAGraph(golden.auxiliary)),
+    }
+
+
+def _digest(arrays, meta=None) -> str:
+    """First 16 hex digits of a sha256 over each array's dtype name and
+    bytes, then the sorted-key JSON of ``meta``."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(str(arr.dtype).encode("ascii"))
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(json.dumps(meta or {}, sort_keys=True).encode("utf-8"))
+    return h.hexdigest()[:16]
+
+
+def _unit_queries(graph: UDAGraph) -> sparse.csr_matrix:
+    """``graph``'s profile rows scaled to unit L2 norm (zero rows stay
+    zero), computed densely so the queries do not depend on the module."""
+    X = _profile_matrix(graph).astype(np.float64).toarray()
+    norms = np.linalg.norm(X, axis=1)
+    return sparse.csr_matrix(X / np.where(norms > 0, norms, 1.0)[:, None])
+
+
+_ATOMS = {
+    "degree_band": degree_band_candidates,
+    "attr_index": attr_index_candidates,
+    "lsh": lsh_candidates,
+    "ann_graph": ann_graph_candidates,
+}
+
+#: ``(world, atom, knobs)`` -> :func:`_digest` of the mask's CSR
+#: ``indices`` and ``indptr`` and its ``meta``.  ``keep_fraction`` 0.1
+#: caps most rows and 1.0 none; one ``lsh`` geometry (1 band × 62 rows)
+#: gives no collision at all on the golden split.
+MASK_PINS = {
+    ("small", "degree_band", "band_width=1.0"): "329a0d7e2f2b4ab0",
+    ("small", "degree_band", "band_width=0.5"): "e6573c0c83d66095",
+    ("small", "attr_index", ""): "c6eb8cc063c03150",
+    ("small", "attr_index", "keep_fraction=0.1"): "8489722c8b1f6b61",
+    ("small", "attr_index", "keep_fraction=1.0"): "54a205b9670807f7",
+    ("small", "attr_index", "min_shared=3,keep_fraction=0.5"): "8f88b0f5428c5da6",
+    ("small", "lsh", ""): "62351e1deba57be5",
+    ("small", "lsh", "keep_fraction=0.1"): "502ec37dec7f1300",
+    ("small", "lsh", "bands=16,rows=4,keep_fraction=1.0,seed=3"): "63e90f01aa9b4989",
+    ("small", "lsh", "bands=1,rows=62"): "bfcfe9db49a00b0a",
+    ("small", "ann_graph", ""): "6f6ae29acc511808",
+    ("small", "ann_graph", "keep_fraction=0.1"): "16991bb9e8211288",
+    ("small", "ann_graph", "m=4,ef=8,keep_fraction=1.0"): "7ccc2f13fe57a8a2",
+    ("small", "ann_graph", "ef=500,keep_fraction=0.5,seed=2"): "9ad2d53f6590c58f",
+    ("golden118", "degree_band", "band_width=1.0"): "af46d273f75426f0",
+    ("golden118", "degree_band", "band_width=0.5"): "939da9d5fde7ebb1",
+    ("golden118", "attr_index", ""): "8e7b9882e68512e9",
+    ("golden118", "attr_index", "keep_fraction=0.1"): "36822da83b46c275",
+    ("golden118", "attr_index", "keep_fraction=1.0"): "8500e0ced6c29d4c",
+    ("golden118", "attr_index", "min_shared=3,keep_fraction=0.5"): "a47e6d597697cdd3",
+    ("golden118", "lsh", ""): "d852a17aafc1dbd6",
+    ("golden118", "lsh", "keep_fraction=0.1"): "980d8020d5ab5d20",
+    ("golden118", "lsh", "bands=16,rows=4,keep_fraction=1.0,seed=3"): "56fbaab97ae6520d",
+    ("golden118", "lsh", "bands=1,rows=62"): "710833c4a95c6039",
+    ("golden118", "ann_graph", ""): "ec3c5a3afb5e7f7c",
+    ("golden118", "ann_graph", "keep_fraction=0.1"): "a2d758e9a36aaedb",
+    ("golden118", "ann_graph", "m=4,ef=8,keep_fraction=1.0"): "6d45413c3c1f1aa6",
+    ("golden118", "ann_graph", "ef=500,keep_fraction=0.5,seed=2"): "503e70e3b01d1d24",
+}
+
+#: ``(world, (m, ef, seed), part)`` -> :func:`_digest` of an
+#: :class:`NSWIndex` over the auxiliary profiles: ``"adjacency"`` covers
+#: ``_adj_indices`` and the padded neighbour table, ``"rescore"`` and
+#: ``"projected"`` every ``(nodes, sims)`` that ``search_batch`` returns
+#: for the unit anonymized profiles at ``ef`` 1, 16, the index's own and
+#: 500, with ``rescore`` on and off.
+NSW_PINS = {
+    ("small", (12, 48, 0), "adjacency"): "4e916cde50c2792d",
+    ("small", (12, 48, 0), "rescore"): "49622953ce2ae580",
+    ("small", (12, 48, 0), "projected"): "d3b4c1995e9c31e5",
+    ("small", (4, 8, 2), "adjacency"): "5f47c08e38c27b08",
+    ("small", (4, 8, 2), "rescore"): "ca109496ade8364d",
+    ("small", (4, 8, 2), "projected"): "8882e6eb7740f11f",
+    ("golden118", (12, 48, 0), "adjacency"): "2add013eea258d1a",
+    ("golden118", (12, 48, 0), "rescore"): "cdadf1713b655c5a",
+    ("golden118", (12, 48, 0), "projected"): "75ba4bfe0b84e510",
+    ("golden118", (4, 8, 2), "adjacency"): "65a31842732118a8",
+    ("golden118", (4, 8, 2), "rescore"): "069039cbe571f698",
+    ("golden118", (4, 8, 2), "projected"): "4451e8e9e518c6e9",
+}
+
+
+def _knobs(spec: str) -> dict:
+    """``"bands=1,rows=62"`` -> ``{"bands": 1, "rows": 62}``."""
+    pairs = (item.split("=") for item in spec.split(",") if item)
+    return {name: ast.literal_eval(value) for name, value in pairs}
+
+
+def _nsw_id(case) -> str:
+    world, (m, ef, seed), part = case
+    return f"{world}-m={m},ef={ef},seed={seed}-{part}"
+
+
+def _mask_digest(graphs, atom: str, knobs) -> str:
+    mask = _ATOMS[atom](*graphs, **_knobs(knobs))
+    m = mask.matrix
+    return _digest((m.indices, m.indptr), mask.meta)
+
+
+def _nsw_digest(graphs, params, part: str) -> str:
+    m, ef, seed = params
+    index = NSWIndex(_profile_matrix(graphs[1]), m=m, ef=ef, seed=seed)
+    if part == "adjacency":
+        return _digest((index._adj_indices, index._nbr_pad))
+    queries = _unit_queries(graphs[0])
+    arrays = []
+    for width in (1, 16, None, 500):
+        for nodes, sims in index.search_batch(
+            queries, ef=width, rescore=part == "rescore"
+        ):
+            arrays += [nodes, sims]
+    return _digest(arrays)
+
+
+class TestMaskPins:
+    """Every atom's mask, and the NSW index under ``ann_graph``, pinned by
+    digest: a refactor of the blocking module must leave each byte, dtype
+    and ``meta`` entry where it was."""
+
+    @pytest.mark.parametrize(
+        "case", list(MASK_PINS), ids=lambda case: "-".join(case)
+    )
+    def test_mask_matches_pin(self, pin_worlds, case):
+        world, atom, knobs = case
+        assert _mask_digest(pin_worlds[world], atom, knobs) == MASK_PINS[case]
+
+    @pytest.mark.parametrize("case", list(NSW_PINS), ids=_nsw_id)
+    def test_nsw_matches_pin(self, pin_worlds, case):
+        world, params, part = case
+        assert _nsw_digest(pin_worlds[world], params, part) == NSW_PINS[case]
+
+    def test_pins_cover_the_cap_and_no_collision(self, pin_worlds):
+        g1, g2 = pin_worlds["golden118"]
+        cap = int(np.ceil(0.1 * g2.n_users))
+        capped = attr_index_candidates(g1, g2, keep_fraction=0.1)
+        assert (np.diff(capped.matrix.indptr) == cap).mean() > 0.5
+        none = lsh_candidates(g1, g2, bands=1, rows=62)
+        assert none.n_pairs == 0
+        assert none.meta == {"lsh_collision_touches": 0, "lsh_distinct_pairs": 0}
