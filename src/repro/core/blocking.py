@@ -288,6 +288,121 @@ def as_similarity(S) -> SparseSimilarity:
     return S if isinstance(S, SparseSimilarity) else SparseSimilarity.from_dense(S)
 
 
+# --- shared plumbing of the atoms ---------------------------------------
+
+
+def _keep_count(keep_fraction: float, n2: int) -> int:
+    """Columns a row keeps at most: ``max(1, ceil(keep_fraction × n2))``."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ConfigError(
+            f"keep_fraction must be in (0, 1], got {keep_fraction}"
+        )
+    return max(1, int(np.ceil(keep_fraction * n2)))
+
+
+def _best_columns(cols: np.ndarray, scores: np.ndarray, keep: int) -> np.ndarray:
+    """The ``keep`` columns of highest score (all of them when there are
+    no more), sorted.  Ties are broken by ``np.argpartition`` on the
+    arrays' positional order."""
+    if len(cols) > keep:
+        cols = cols[np.argpartition(-scores, keep - 1)[:keep]]
+    return np.sort(cols)
+
+
+def _mask_from_rows(
+    row_cols: list, n2: int, meta: "dict | None" = None
+) -> CandidateMask:
+    """The mask whose row ``i`` holds the columns ``row_cols[i]``."""
+    indptr = np.zeros(len(row_cols) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in row_cols], out=indptr[1:])
+    indices = (
+        np.concatenate(row_cols) if indptr[-1] else np.empty(0, dtype=np.int64)
+    )
+    matrix = sparse.csr_matrix(
+        (np.ones(indptr[-1], dtype=bool), indices, indptr),
+        shape=(len(row_cols), n2),
+    )
+    return CandidateMask(matrix, meta)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted: one sort, then every entry that differs
+    from its predecessor.
+
+    Not ``np.unique``: on numpy 2.4 it took 33 ms on the 305,691 ``lsh``
+    collision codes of one 400-user split, against 4.5 ms for this sort
+    and compare.
+    """
+    values = np.sort(values)
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _rank_in_group(groups: np.ndarray) -> np.ndarray:
+    """Each entry's position in its run of equal values of the sorted
+    ``groups``."""
+    new = np.empty(len(groups), dtype=bool)
+    new[:1] = True
+    np.not_equal(groups[1:], groups[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return np.arange(len(groups), dtype=np.int64) - starts[np.cumsum(new) - 1]
+
+
+def _unit_rows(M: sparse.spmatrix) -> sparse.csr_matrix:
+    """``M`` as float64 CSR with sorted indices, each row scaled to unit
+    L2 norm (zero rows stay zero)."""
+    X = sparse.csr_matrix(M, dtype=np.float64)
+    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    X = sparse.csr_matrix(X.multiply(scale[:, None]), shape=X.shape)
+    X.sort_indices()
+    return X
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``[starts[i], starts[i] + counts[i])`` index ranges."""
+    counts = counts.astype(np.int64, copy=False)
+    total = int(counts.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    offsets = np.repeat(ends - counts, counts)
+    return (
+        np.arange(total, dtype=np.int64)
+        - offsets
+        + np.repeat(starts.astype(np.int64, copy=False), counts)
+    )
+
+
+def _bucket_collisions(
+    keys_q: np.ndarray, keys_x: np.ndarray, rows: int
+) -> tuple:
+    """``(q, x)`` row pairs whose ``(n, bands)`` band keys (``rows`` bits
+    each) agree, once per agreeing band: band-major, query rows ascending
+    within a band.
+
+    One composite sort serves every band: keys of band b live in the
+    disjoint uint64 range [b·2^rows, (b+1)·2^rows), so a single argsort +
+    searchsorted over the band-major flattening replaces a per-band loop,
+    and the bucket of every (band, query) is gathered without one.
+    """
+    bands = keys_q.shape[1]
+    offsets = (np.arange(bands, dtype=np.uint64) << np.uint64(rows))[:, None]
+    comp_q = (keys_q.T + offsets).ravel()  # (bands · n_q,) band-major
+    comp_x = (keys_x.T + offsets).ravel()  # (bands · n_x,)
+    order = np.argsort(comp_x, kind="stable")
+    sorted_x = comp_x[order]
+    lo = np.searchsorted(sorted_x, comp_q, side="left")
+    counts = np.searchsorted(sorted_x, comp_q, side="right") - lo
+    q = np.repeat(
+        np.tile(np.arange(len(keys_q), dtype=np.int64), bands), counts
+    )
+    # order indexes the band-major flattening
+    return q, order[_concat_ranges(lo, counts)] % len(keys_x)
+
+
 # --- policies -----------------------------------------------------------
 
 
@@ -319,17 +434,7 @@ def degree_band_candidates(
     # per anon user: auxiliary columns whose band is in [b - 1, b + 1]
     lo = np.searchsorted(sorted_b2, b1 - 1, side="left")
     hi = np.searchsorted(sorted_b2, b1 + 1, side="right")
-    counts = hi - lo
-    indptr = np.zeros(len(b1) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(
-        [order[l:h] for l, h in zip(lo, hi)]
-    ) if indptr[-1] else np.empty(0, dtype=np.int64)
-    matrix = sparse.csr_matrix(
-        (np.ones(indptr[-1], dtype=bool), indices, indptr),
-        shape=(len(b1), len(b2)),
-    )
-    return CandidateMask(matrix)
+    return _mask_from_rows([order[l:h] for l, h in zip(lo, hi)], len(b2))
 
 
 def attr_index_candidates(
@@ -352,51 +457,33 @@ def attr_index_candidates(
     """
     if min_shared < 1:
         raise ConfigError(f"min_shared must be >= 1, got {min_shared}")
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ConfigError(
-            f"keep_fraction must be in (0, 1], got {keep_fraction}"
-        )
+    keep = _keep_count(keep_fraction, auxiliary.n_users)
     B1 = (anonymized.attr_weights > 0).astype(np.float64).tocsr()
     B2 = (auxiliary.attr_weights > 0).astype(np.float64).tocsr()
     n1, n2 = B1.shape[0], B2.shape[0]
     sizes1 = np.asarray(B1.sum(axis=1)).ravel()
     sizes2 = np.asarray(B2.sum(axis=1)).ravel()
     B2T = B2.T.tocsc()
-    keep = max(1, int(np.ceil(keep_fraction * n2)))
 
-    row_cols: list = []  # one sorted int64 array per anonymized row
+    row_cols: list = []  # one sorted column array per anonymized row
     for start in range(0, n1, _ATTR_CHUNK_ROWS):
         stop = min(start + _ATTR_CHUNK_ROWS, n1)
         inter = (B1[start:stop] @ B2T).tocsr()  # shared-slot counts, sparse
-        for local in range(stop - start):
-            lo, hi = inter.indptr[local], inter.indptr[local + 1]
-            cols = inter.indices[lo:hi]
-            counts = inter.data[lo:hi]
-            eligible = counts >= min_shared
-            cols = cols[eligible]
-            counts = counts[eligible]
-            if len(cols) > keep:
-                union = sizes1[start + local] + sizes2[cols] - counts
-                jaccard = np.divide(
-                    counts,
-                    union,
-                    out=np.ones_like(counts, dtype=np.float64),
-                    where=union > 0,
-                )
-                top = np.argpartition(-jaccard, keep - 1)[:keep]
-                cols = cols[top]
-            row_cols.append(np.sort(cols).astype(np.int64, copy=False))
-    counts_per_row = np.array([len(c) for c in row_cols], dtype=np.int64)
-    indptr = np.zeros(n1 + 1, dtype=np.int64)
-    np.cumsum(counts_per_row, out=indptr[1:])
-    indices = (
-        np.concatenate(row_cols) if indptr[-1] else np.empty(0, dtype=np.int64)
-    )
-    matrix = sparse.csr_matrix(
-        (np.ones(indptr[-1], dtype=bool), indices, indptr),
-        shape=(n1, n2),
-    )
-    return CandidateMask(matrix)
+        rows = np.repeat(np.arange(start, stop), np.diff(inter.indptr))
+        eligible = inter.data >= min_shared
+        rows = rows[eligible]
+        cols = inter.indices[eligible]
+        counts = inter.data[eligible]
+        union = sizes1[rows] + sizes2[cols] - counts
+        jaccard = np.divide(
+            counts, union, out=np.ones_like(counts), where=union > 0
+        )
+        bounds = np.searchsorted(rows, np.arange(start, stop + 1))
+        row_cols += [
+            _best_columns(cols[lo:hi], jaccard[lo:hi], keep)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    return _mask_from_rows(row_cols, n2)
 
 
 # --- approximate-nearest-neighbour policies -----------------------------
@@ -546,10 +633,7 @@ def lsh_candidates(
     emissions, the true generation cost) and ``lsh_distinct_pairs``
     (unique pairs before the per-row cap).
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ConfigError(
-            f"keep_fraction must be in (0, 1], got {keep_fraction}"
-        )
+    keep = _keep_count(keep_fraction, auxiliary.n_users)
     bits1, bits2 = lsh_signature_bits(
         _profile_matrix(anonymized),
         _profile_matrix(auxiliary),
@@ -557,52 +641,14 @@ def lsh_candidates(
         rows,
         seed=seed,
     )
-    keys1 = _band_keys(bits1, bands, rows)
-    keys2 = _band_keys(bits2, bands, rows)
-    n1, n2 = keys1.shape[0], keys2.shape[0]
-
-    # One composite sort serves every band: keys of band b live in the
-    # disjoint uint64 range [b·2^rows, (b+1)·2^rows), so a single
-    # argsort + searchsorted over the band-major flattening replaces the
-    # per-band loop entirely.
-    band_offsets = (
-        np.arange(bands, dtype=np.uint64) << np.uint64(rows)
-    )[:, None]
-    comp1 = (keys1.T + band_offsets).ravel()  # (bands · n1,) band-major
-    comp2 = (keys2.T + band_offsets).ravel()  # (bands · n2,)
-    order = np.argsort(comp2, kind="stable")
-    sorted_keys = comp2[order]
-    lo = np.searchsorted(sorted_keys, comp1, side="left")
-    hi = np.searchsorted(sorted_keys, comp1, side="right")
-    counts = hi - lo
-    touches = int(counts.sum())
-
-    if not touches:
-        matrix = sparse.csr_matrix((n1, n2), dtype=bool)
-        return CandidateMask(
-            matrix, meta={"lsh_collision_touches": 0, "lsh_distinct_pairs": 0}
-        )
-    # vectorized multi-slice gather: for every (band, anonymized-row)
-    # query, the positions [lo, hi) of its bucket, without a Python loop
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    within = np.arange(touches, dtype=np.int64) - np.repeat(
-        offsets[:-1], counts
+    n1, n2 = bits1.shape[0], bits2.shape[0]
+    pair_rows, pair_cols = _bucket_collisions(
+        _band_keys(bits1, bands, rows), _band_keys(bits2, bands, rows), rows
     )
-    flat_pos = order[np.repeat(lo, counts) + within]
-    pair_cols = flat_pos % n2  # order indexes the band-major flattening
-    pair_rows = np.repeat(
-        np.tile(np.arange(n1, dtype=np.int64), bands), counts
-    )
-    # dedup across bands: encoded pair ids sort row-major, so one sort +
-    # neighbour-diff yields the distinct pairs in CSR order (cost
-    # ∝ touches · log touches, never n1 × n2)
-    encoded = pair_rows * np.int64(n2) + pair_cols
-    encoded.sort(kind="quicksort")
-    first = np.empty(len(encoded), dtype=bool)
-    first[0] = True
-    np.not_equal(encoded[1:], encoded[:-1], out=first[1:])
-    encoded = encoded[first]
-    distinct = len(encoded)
+    # dedup across bands: encoded pair ids sort row-major, so the distinct
+    # pairs come out in CSR order (cost ∝ touches · log touches, never
+    # n1 × n2)
+    encoded = _unique(pair_rows * np.int64(n2) + pair_cols)
     flat_rows = encoded // np.int64(n2)
     flat_cols = encoded % np.int64(n2)
     # hamming agreement of the full signatures at the distinct pairs only:
@@ -614,32 +660,17 @@ def lsh_candidates(
     ).sum(axis=1)
     agreement = bits1.shape[1] - disagreements.astype(np.int64)
 
-    per_row = np.bincount(flat_rows, minlength=n1).astype(np.int64)
-    row_starts = np.zeros(n1 + 1, dtype=np.int64)
-    np.cumsum(per_row, out=row_starts[1:])
-    keep = max(1, int(np.ceil(keep_fraction * n2)))
-    row_cols: list = []
-    for i in range(n1):
-        lo_i, hi_i = row_starts[i], row_starts[i + 1]
-        cols = flat_cols[lo_i:hi_i]
-        if len(cols) > keep:
-            top = np.argpartition(-agreement[lo_i:hi_i], keep - 1)[:keep]
-            cols = np.sort(cols[top])
-        row_cols.append(cols)
-    counts_per_row = np.array([len(c) for c in row_cols], dtype=np.int64)
-    indptr = np.zeros(n1 + 1, dtype=np.int64)
-    np.cumsum(counts_per_row, out=indptr[1:])
-    indices = (
-        np.concatenate(row_cols) if indptr[-1] else np.empty(0, dtype=np.int64)
-    )
-    matrix = sparse.csr_matrix(
-        (np.ones(indptr[-1], dtype=bool), indices, indptr), shape=(n1, n2)
-    )
-    return CandidateMask(
-        matrix,
+    bounds = np.searchsorted(flat_rows, np.arange(n1 + 1))
+    row_cols = [
+        _best_columns(flat_cols[lo:hi], agreement[lo:hi], keep)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return _mask_from_rows(
+        row_cols,
+        n2,
         meta={
-            "lsh_collision_touches": touches,
-            "lsh_distinct_pairs": distinct,
+            "lsh_collision_touches": len(pair_rows),
+            "lsh_distinct_pairs": len(encoded),
         },
     )
 
@@ -679,21 +710,6 @@ _NSW_PAIR_CHUNK = 8192
 _NSW_QUERY_CHUNK = 256
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``[starts[i], starts[i] + counts[i])`` index ranges."""
-    counts = counts.astype(np.int64, copy=False)
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    offsets = np.repeat(ends - counts, counts)
-    return (
-        np.arange(total, dtype=np.int64)
-        - offsets
-        + np.repeat(starts.astype(np.int64, copy=False), counts)
-    )
-
-
 def _pair_sims(
     A: np.ndarray, B: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
@@ -709,23 +725,14 @@ def _pair_sims(
 
 def _top_per_group(
     groups: np.ndarray, items: np.ndarray, scores: np.ndarray, k: int
-) -> tuple:
-    """Per-group top-``k`` triples by ``(-score, item)``.
+) -> np.ndarray:
+    """Positions of each group's top-``k`` entries by ``(-score, item)``.
 
-    Output is sorted by ``(group, -score, item)``; the item id is the
-    deterministic tie-break for equal scores.
+    The positions come in ``(group, -score, item)`` order; the item id is
+    the deterministic tie-break for equal scores.
     """
     order = np.lexsort((items, -scores, groups))
-    g, it, sc = groups[order], items[order], scores[order]
-    if not len(g):
-        return g, it, sc
-    new = np.empty(len(g), dtype=bool)
-    new[0] = True
-    np.not_equal(g[1:], g[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    rank = np.arange(len(g), dtype=np.int64) - starts[np.cumsum(new) - 1]
-    keep = rank < k
-    return g[keep], it[keep], sc[keep]
+    return order[_rank_in_group(groups[order]) < k]
 
 
 class NSWIndex:
@@ -760,20 +767,14 @@ class NSWIndex:
             raise ConfigError(f"ann_ef must be >= 1, got {ef}")
         self.m = m
         self.ef = ef
-        X = sparse.csr_matrix(profiles, dtype=np.float64)
-        norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
-        scale = np.divide(
-            1.0, norms, out=np.zeros_like(norms), where=norms > 0
-        )
-        self.X = sparse.csr_matrix(X.multiply(scale[:, None]))
-        self.X.sort_indices()
-        self.n = X.shape[0]
+        self.X = _unit_rows(profiles)
+        self.n = self.X.shape[0]
         rng = np.random.default_rng(np.random.PCG64(seed))
         self._order = rng.permutation(self.n)
         self._entry = int(self._order[0]) if self.n else 0
         seed_bits = NSW_SEED_BANDS * NSW_SEED_ROWS
         self._planes = _hyperplanes(
-            X.shape[1], max(NSW_EXPLORE_DIMS, seed_bits), seed
+            self.X.shape[1], max(NSW_EXPLORE_DIMS, seed_bits), seed
         )
         self._P = self._project(self.X)
         self._PE = self._explore(self._P)
@@ -851,11 +852,11 @@ class NSWIndex:
     def _select_edges(self, u: np.ndarray, v: np.ndarray) -> tuple:
         """Dedupe directed pairs, keep each node's top-``m`` by projected
         similarity (grouped by source node, ties on the neighbour id)."""
-        enc = u * np.int64(self.n) + v
-        enc = np.unique(enc[u != v])
+        enc = _unique((u * np.int64(self.n) + v)[u != v])
         du, dv = enc // self.n, enc % self.n
         PE = self._PE
-        return _top_per_group(du, dv, _pair_sims(PE, PE, du, dv), self.m)[:2]
+        top = _top_per_group(du, dv, _pair_sims(PE, PE, du, dv), self.m)
+        return du[top], dv[top]
 
     def _two_hop(self, out_u: np.ndarray, out_v: np.ndarray) -> tuple:
         """NN-descent proposals: each node meets its neighbours' neighbours."""
@@ -891,14 +892,14 @@ class NSWIndex:
         # width >= n exhaustive, so it is exempt from degree pruning
         cu = np.concatenate([out_u, out_v])
         cv = np.concatenate([out_v, out_u])
-        enc = np.unique(cu * np.int64(self.n) + cv)
+        enc = _unique(cu * np.int64(self.n) + cv)
         du, dv = enc // self.n, enc % self.n
-        au, av, _ = _top_per_group(
+        top = _top_per_group(
             du, dv, _pair_sims(self._PE, self._PE, du, dv), 2 * self.m
         )
-        enc = np.unique(
-            np.concatenate([au, ring_u]) * np.int64(self.n)
-            + np.concatenate([av, ring_v])
+        enc = _unique(
+            np.concatenate([du[top], ring_u]) * np.int64(self.n)
+            + np.concatenate([dv[top], ring_v])
         )
         fu, self._adj_indices = enc // self.n, enc % self.n
         # pad to a rectangle for the batched expansion gather: one 2-D
@@ -918,45 +919,21 @@ class NSWIndex:
     def _query_seeds(self, Qp: np.ndarray, Qe: np.ndarray) -> np.ndarray:
         """Encoded ``(query, node)`` beam seeds: the fixed entry point
         plus the top LSH bucket-mates of each query."""
-        nq = Qp.shape[0]
-        eq = np.arange(nq, dtype=np.int64)
-        enc = eq * np.int64(self.n) + self._entry
-        if self.n <= 1:
-            return enc
+        n = np.int64(self.n)
+        enc = np.arange(Qp.shape[0], dtype=np.int64) * n + self._entry
         seed_bits = NSW_SEED_BANDS * NSW_SEED_ROWS
         keys_q = _band_keys(
             Qp[:, :seed_bits] >= self._center,
             NSW_SEED_BANDS,
             NSW_SEED_ROWS,
         )
-        band_offsets = (
-            np.arange(NSW_SEED_BANDS, dtype=np.uint64)
-            << np.uint64(NSW_SEED_ROWS)
-        )[:, None]
-        comp_q = (keys_q.T + band_offsets).ravel()
-        comp_x = (self._seed_keys.T + band_offsets).ravel()
-        x_order = np.argsort(comp_x, kind="stable")
-        x_sorted = comp_x[x_order]
-        lo = np.searchsorted(x_sorted, comp_q, side="left")
-        hi = np.searchsorted(x_sorted, comp_q, side="right")
-        counts = hi - lo
-        touches = int(counts.sum())
-        if not touches:
-            return enc
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        within = np.arange(touches, dtype=np.int64) - np.repeat(
-            offsets[:-1], counts
-        )
-        sv = x_order[np.repeat(lo, counts) + within] % self.n
-        sq = np.repeat(np.tile(eq, NSW_SEED_BANDS), counts)
-        senc = np.unique(sq * np.int64(self.n) + sv)
-        cq, cv = senc // self.n, senc % self.n
-        ku, kv, _ = _top_per_group(
+        sq, sv = _bucket_collisions(keys_q, self._seed_keys, NSW_SEED_ROWS)
+        senc = _unique(sq * n + sv)
+        cq, cv = senc // n, senc % n
+        top = _top_per_group(
             cq, cv, _pair_sims(Qe, self._PE, cq, cv), _NSW_SEED_CAP
         )
-        return np.unique(
-            np.concatenate([enc, ku * np.int64(self.n) + kv])
-        )
+        return _unique(np.concatenate([enc, senc[top]]))
 
     def search_batch(
         self,
@@ -993,45 +970,19 @@ class NSWIndex:
         expanded = np.zeros(len(bq), dtype=bool)
         while True:
             # per-query top-ef beam by (projected sim, node id)
-            order = np.lexsort((bv, -bs, bq))
-            bq, bv, bs = bq[order], bv[order], bs[order]
-            expanded = expanded[order]
-            new = np.empty(len(bq), dtype=bool)
-            new[0] = True
-            np.not_equal(bq[1:], bq[:-1], out=new[1:])
-            starts = np.flatnonzero(new)
-            rank = (
-                np.arange(len(bq), dtype=np.int64)
-                - starts[np.cumsum(new) - 1]
-            )
-            keep = rank < ef
-            bq, bv, bs = bq[keep], bv[keep], bs[keep]
-            expanded = expanded[keep]
+            top = _top_per_group(bq, bv, bs, ef)
+            bq, bv, bs, expanded = bq[top], bv[top], bs[top], expanded[top]
             open_idx = np.flatnonzero(~expanded)
             if not len(open_idx):
                 break
             # expand the best few unexpanded beam entries of each query
             # (beam order is already (query, -sim, id))
-            oq = bq[open_idx]
-            onew = np.empty(len(oq), dtype=bool)
-            onew[0] = True
-            np.not_equal(oq[1:], oq[:-1], out=onew[1:])
-            ostart = np.flatnonzero(onew)
-            orank = (
-                np.arange(len(oq), dtype=np.int64)
-                - ostart[np.cumsum(onew) - 1]
-            )
-            sel = open_idx[orank < _NSW_EXPAND_PER_ROUND]
+            rank = _rank_in_group(bq[open_idx])
+            sel = open_idx[rank < _NSW_EXPAND_PER_ROUND]
             expanded[sel] = True
             fq, fv = bq[sel], bv[sel]
             cand = self._nbr_pad[fv]  # (frontier, width), -1 padded
-            enc = (fq[:, None] * n + cand)[cand >= 0]
-            enc.sort(kind="quicksort")
-            if len(enc):
-                first = np.empty(len(enc), dtype=bool)
-                first[0] = True
-                np.not_equal(enc[1:], enc[:-1], out=first[1:])
-                enc = enc[first]
+            enc = _unique((fq[:, None] * n + cand)[cand >= 0])
             pos = np.minimum(
                 np.searchsorted(visited, enc), len(visited) - 1
             )
@@ -1079,34 +1030,18 @@ def ann_graph_candidates(
     bucketing is too coarse for the corpus.  ``meta`` records the index's
     edge count.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ConfigError(
-            f"keep_fraction must be in (0, 1], got {keep_fraction}"
-        )
+    keep = min(ef, _keep_count(keep_fraction, auxiliary.n_users))
     index = NSWIndex(_profile_matrix(auxiliary), m=m, ef=ef, seed=seed)
-    X1 = sparse.csr_matrix(_profile_matrix(anonymized), dtype=np.float64)
-    norms = np.sqrt(np.asarray(X1.multiply(X1).sum(axis=1)).ravel())
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    X1 = sparse.csr_matrix(X1.multiply(scale[:, None]), shape=X1.shape)
-    n1, n2 = X1.shape[0], index.n
-    keep = min(ef, max(1, int(np.ceil(keep_fraction * n2))))
-
     # when the keep cap cannot truncate the beam, the mask is the beam
     # *set* and the exact rescore pass would order entries only to have
     # that order erased by the sort below — skip it
-    beams = index.search_batch(X1, ef=ef, rescore=keep < ef)
-    row_cols = [np.sort(cols[:keep]) for cols, _ in beams]
-    counts_per_row = np.array([len(c) for c in row_cols], dtype=np.int64)
-    indptr = np.zeros(n1 + 1, dtype=np.int64)
-    np.cumsum(counts_per_row, out=indptr[1:])
-    indices = (
-        np.concatenate(row_cols) if indptr[-1] else np.empty(0, dtype=np.int64)
+    beams = index.search_batch(
+        _unit_rows(_profile_matrix(anonymized)), ef=ef, rescore=keep < ef
     )
-    matrix = sparse.csr_matrix(
-        (np.ones(indptr[-1], dtype=bool), indices, indptr), shape=(n1, n2)
-    )
-    return CandidateMask(
-        matrix, meta={"ann_graph_edges": len(index._adj_indices)}
+    return _mask_from_rows(
+        [np.sort(cols[:keep]) for cols, _ in beams],
+        index.n,
+        meta={"ann_graph_edges": len(index._adj_indices)},
     )
 
 
