@@ -87,9 +87,7 @@ class UDAGraph:
         Posts are flattened in user order (so parallel chunking follows
         user boundaries closely), extracted once via the extractor's
         cache-aware batch path, and counted into per-user A(u)/WA(u) rows
-        by :meth:`~repro.stylometry.FeatureExtractor.attribute_weights`,
-        which :meth:`~repro.stylometry.FeatureExtractor.attribute_profile`
-        shares.
+        by :meth:`~repro.stylometry.FeatureExtractor.attribute_weights`.
         """
         return self.extractor.attribute_weights(
             [self.dataset.post_texts_of(u) for u in self.users],

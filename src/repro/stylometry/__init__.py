@@ -16,7 +16,6 @@ from repro.stylometry.features import FeatureSpace, default_feature_space
 from repro.stylometry.extractor import (
     FeatureExtractor,
     MAX_EXTRACT_WORKERS,
-    UserAttributeProfile,
     resolve_extract_workers,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "FeatureSpace",
     "MAX_EXTRACT_WORKERS",
     "PostRow",
-    "UserAttributeProfile",
     "default_feature_space",
     "resolve_extract_workers",
 ]

@@ -28,9 +28,9 @@ The extraction hot path is engineered for corpus scale:
   fanning the cache misses out to a ``concurrent.futures`` process pool in
   deterministic chunks;
 * every batched row is a read-only :class:`~repro.stylometry.cache.PostRow`
-  (sorted int32 slots, float64 values), so the post matrices, the user
-  attribute counts and the mean vector are array operations over the
-  concatenated rows, with no loop over slots.
+  (sorted int32 slots, float64 values), so the post matrices and the user
+  attribute counts are array operations over the concatenated rows, with
+  no loop over slots.
 
 Every one of those paths produces byte-identical feature values to the
 naive per-post loop: each value is either an exact integer ratio (the same
@@ -44,8 +44,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from collections import Counter
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -113,32 +112,6 @@ def _concat(rows: list) -> tuple:
         return np.empty(0, dtype=np.int32), np.empty(0), indptr
     slots = np.concatenate([row.slots for row in rows])
     return slots, np.concatenate([row.data for row in rows]), indptr
-
-
-@dataclass(frozen=True)
-class UserAttributeProfile:
-    """A user's binary attributes A(u) and weights WA(u) (Section II-B).
-
-    ``slots`` are the feature indices the user has (sorted), ``weights[i]``
-    the number of the user's posts exhibiting ``slots[i]``.
-    """
-
-    slots: np.ndarray
-    weights: np.ndarray
-    n_posts: int
-
-    def __post_init__(self) -> None:
-        if len(self.slots) != len(self.weights):
-            raise ValueError("slots and weights must align")
-
-    def as_dict(self) -> dict[int, int]:
-        """``{slot: l_u(A_i)}`` mapping."""
-        return {int(s): int(w) for s, w in zip(self.slots, self.weights)}
-
-    @property
-    def attribute_set(self) -> frozenset[int]:
-        """A(u) as a frozen set of slot indices."""
-        return frozenset(int(s) for s in self.slots)
 
 
 class FeatureExtractor:
@@ -428,13 +401,6 @@ class FeatureExtractor:
             chunk_rows = list(pool.map(_extract_chunk, chunks))
         return [row for chunk in chunk_rows for row in chunk]
 
-    def extract(self, text: str) -> np.ndarray:
-        """Extract one post into a dense vector of shape ``(M,)``."""
-        vec = np.zeros(self.space.size)
-        for slot, value in self.extract_sparse(text).items():
-            vec[slot] = value
-        return vec
-
     def extract_matrix(
         self, texts: Sequence[str], workers: int = 1
     ) -> sparse.csr_matrix:
@@ -469,27 +435,3 @@ class FeatureExtractor:
             shape=(n_users, size),
             dtype=np.int64,
         )
-
-    def attribute_profile(self, texts: Iterable[str]) -> UserAttributeProfile:
-        """Aggregate a user's posts into A(u) / WA(u) (binary + weights)."""
-        texts = list(texts)
-        counts = self.attribute_weights([texts])
-        return UserAttributeProfile(
-            slots=counts.indices.astype(np.int64),
-            weights=counts.data,
-            n_posts=len(texts),
-        )
-
-    def mean_vector(self, texts: Sequence[str]) -> np.ndarray:
-        """Mean post vector of a user (dense); zeros if no posts.
-
-        Each slot's values are summed in post order, as a running ``+=``
-        over the posts would.
-        """
-        rows = self.extract_rows(texts, copy=False)
-        slots, data, _ = _concat(rows)
-        vec = np.bincount(slots, weights=data, minlength=self.space.size)
-        vec = vec.astype(np.float64, copy=False)  # int64 when no slot is set
-        if rows:
-            vec /= len(rows)
-        return vec

@@ -106,11 +106,10 @@ class TestMemoizedIdentity:
         cached = FeatureExtractor(cache=ExtractionCache())
         for uid in corpus.user_ids():
             posts = corpus.post_texts_of(uid)
-            a = plain.attribute_profile(posts)
-            b = cached.attribute_profile(posts)
-            assert np.array_equal(a.slots, b.slots)
-            assert np.array_equal(a.weights, b.weights)
-            assert a.n_posts == b.n_posts
+            a = plain.attribute_weights([posts])
+            b = cached.attribute_weights([posts])
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
 
     def test_returned_row_is_callers_to_mutate(self, texts):
         cached = FeatureExtractor(cache=ExtractionCache())

@@ -1,6 +1,5 @@
 """Unit tests for post-level extraction and user-level aggregation."""
 
-import numpy as np
 import pytest
 
 from repro.stylometry import FeatureExtractor, default_feature_space
@@ -71,19 +70,6 @@ class TestExtractSparse:
         assert total == pytest.approx(1.0)
 
 
-class TestExtractDense:
-    def test_shape(self, fx):
-        vec = fx.extract(TEXT)
-        assert vec.shape == (default_feature_space().size,)
-
-    def test_matches_sparse(self, fx):
-        vec = fx.extract(TEXT)
-        sparse_map = fx.extract_sparse(TEXT)
-        assert np.count_nonzero(vec) == len(sparse_map)
-        for slot, value in sparse_map.items():
-            assert vec[slot] == pytest.approx(value)
-
-
 class TestExtractMatrix:
     def test_shape_and_rows(self, fx):
         texts = [TEXT, "Short post.", ""]
@@ -93,8 +79,8 @@ class TestExtractMatrix:
 
     def test_row_equals_single(self, fx):
         mat = fx.extract_matrix([TEXT])
-        vec = fx.extract(TEXT)
-        assert np.allclose(mat.toarray()[0], vec)
+        row = dict(zip(mat.indices.tolist(), mat.data.tolist()))
+        assert row == fx.extract_sparse(TEXT)
 
     def test_empty_list(self, fx):
         mat = fx.extract_matrix([])
@@ -102,41 +88,22 @@ class TestExtractMatrix:
 
 
 class TestAttributeProfile:
+    """A(u) and WA(u): a user's row of ``attribute_weights``."""
+
     def test_weights_count_posts(self, fx):
-        profile = fx.attribute_profile([TEXT, TEXT])
-        assert profile.n_posts == 2
+        weights = fx.attribute_weights([[TEXT, TEXT]])
         # every attribute present in TEXT appears in both posts
-        assert set(profile.weights.tolist()) == {2}
+        assert set(weights.data.tolist()) == {2}
 
     def test_binary_attribute_semantics(self, fx):
-        profile = fx.attribute_profile([TEXT, "Totally different words here."])
-        as_dict = profile.as_dict()
-        assert all(1 <= v <= 2 for v in as_dict.values())
+        weights = fx.attribute_weights([[TEXT, "Totally different words here."]])
+        assert all(1 <= v <= 2 for v in weights.data.tolist())
 
     def test_empty_user(self, fx):
-        profile = fx.attribute_profile([])
-        assert profile.n_posts == 0
-        assert len(profile.slots) == 0
+        weights = fx.attribute_weights([[]])
+        assert weights.shape == (1, default_feature_space().size)
+        assert weights.nnz == 0
 
     def test_attribute_set(self, fx):
-        profile = fx.attribute_profile([TEXT])
-        assert profile.attribute_set == frozenset(fx.extract_sparse(TEXT))
-
-    def test_mismatched_lengths_rejected(self):
-        from repro.stylometry.extractor import UserAttributeProfile
-
-        with pytest.raises(ValueError):
-            UserAttributeProfile(
-                slots=np.array([1, 2]), weights=np.array([1]), n_posts=1
-            )
-
-
-class TestMeanVector:
-    def test_average_of_two(self, fx):
-        a = fx.extract("First post about sleep.")
-        b = fx.extract("Second post about pain!")
-        mean = fx.mean_vector(["First post about sleep.", "Second post about pain!"])
-        assert np.allclose(mean, (a + b) / 2)
-
-    def test_no_posts(self, fx):
-        assert np.count_nonzero(fx.mean_vector([])) == 0
+        weights = fx.attribute_weights([[TEXT]])
+        assert set(weights.indices.tolist()) == set(fx.extract_sparse(TEXT))
