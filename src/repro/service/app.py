@@ -870,36 +870,6 @@ class _Admission:
         self._release()
 
 
-def create_app(
-    engine: "Engine | None" = None,
-    state: "StateStore | None" = None,
-    job_workers: int = 2,
-    job_lease_s: "float | None" = None,
-    job_deadline_s: "float | None" = None,
-    job_retries: "int | None" = None,
-    rate_limit_per_s: "float | None" = None,
-    rate_burst: "float | None" = None,
-    request_deadline_s: "float | None" = None,
-    max_sync_attacks: int = DEFAULT_MAX_SYNC_ATTACKS,
-    admission_wait_s: float = DEFAULT_ADMISSION_WAIT_S,
-    max_body_bytes: int = MAX_BODY_BYTES,
-    breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-    breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
-) -> DeHealthApp:
-    """Build the WSGI application (optionally over a pre-loaded engine)."""
-    return DeHealthApp(
-        engine,
-        state=state,
-        job_workers=job_workers,
-        job_lease_s=job_lease_s,
-        job_deadline_s=job_deadline_s,
-        job_retries=job_retries,
-        rate_limit_per_s=rate_limit_per_s,
-        rate_burst=rate_burst,
-        request_deadline_s=request_deadline_s,
-        max_sync_attacks=max_sync_attacks,
-        admission_wait_s=admission_wait_s,
-        max_body_bytes=max_body_bytes,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown_s=breaker_cooldown_s,
-    )
+#: The application factory: ``create_app(engine, state=..., ...)`` is
+#: :class:`DeHealthApp` itself, so each app option is declared once.
+create_app = DeHealthApp
