@@ -216,22 +216,12 @@ class SimilarityCache:
     def entries(self) -> int:
         return len(self._matrices)
 
-    @staticmethod
-    def _entry_nbytes(value) -> int:
-        if sparse.issparse(value):
-            parts = (
-                getattr(value, "data", None),
-                getattr(value, "indices", None),
-                getattr(value, "indptr", None),
-            )
-            return sum(int(p.nbytes) for p in parts if p is not None)
-        nbytes = getattr(value, "nbytes", None)
-        return int(nbytes) if nbytes is not None else 0
-
     def nbytes(self) -> int:
-        """Total bytes held by cached entries (dense, sparse, and masks)."""
+        """Total bytes held by cached entries: every entry is an array, a
+        :class:`CandidateMask` or a :class:`SparseSimilarity`, and each
+        counts its own ``nbytes``."""
         with self._mutex:
-            return sum(self._entry_nbytes(v) for v in self._matrices.values())
+            return sum(int(v.nbytes) for v in self._matrices.values())
 
     def counters(self) -> dict:
         """Builds/hits per kind plus entry and byte totals."""
