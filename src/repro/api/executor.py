@@ -71,6 +71,10 @@ def resolve_workers(workers: "int | None") -> int:
 
 # --- matrix specs -------------------------------------------------------
 
+#: Hard cap on an expanded service sweep, so one request cannot wedge a
+#: worker: ``POST /sweep`` and the job runner's sweep jobs expand with it.
+MAX_SWEEP_REQUESTS = 256
+
 
 def expand_grid(base: dict, grid: dict, max_requests: "int | None" = None) -> list:
     """Cartesian-product expansion of ``grid`` values over a ``base`` request.

@@ -80,6 +80,12 @@ _TENANTS_V3_COLUMNS: tuple = (
     ("updated_at", "REAL"),
 )
 
+#: ``(since, table, columns)``: the columns schema version ``since`` added.
+_ADDED_COLUMNS: tuple = (
+    (2, "jobs", _JOBS_V2_COLUMNS),
+    (3, "tenants", _TENANTS_V3_COLUMNS),
+)
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -215,25 +221,17 @@ class StateStore:
         version = int(row["value"]) if row is not None else SCHEMA_VERSION
         if version >= SCHEMA_VERSION:
             return
-        if version < 2:
+        for since, table, columns in _ADDED_COLUMNS:
+            if version >= since:
+                continue
             present = {
                 info[1]
-                for info in self._conn.execute("PRAGMA table_info(jobs)")
+                for info in self._conn.execute(f"PRAGMA table_info({table})")
             }
-            for column, declaration in _JOBS_V2_COLUMNS:
+            for column, declaration in columns:
                 if column not in present:
                     self._conn.execute(
-                        f"ALTER TABLE jobs ADD COLUMN {column} {declaration}"
-                    )
-        if version < 3:
-            present = {
-                info[1]
-                for info in self._conn.execute("PRAGMA table_info(tenants)")
-            }
-            for column, declaration in _TENANTS_V3_COLUMNS:
-                if column not in present:
-                    self._conn.execute(
-                        f"ALTER TABLE tenants ADD COLUMN {column} {declaration}"
+                        f"ALTER TABLE {table} ADD COLUMN {column} {declaration}"
                     )
         self._conn.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema_version'",

@@ -99,6 +99,25 @@ def _decode_error(error):
     return error
 
 
+def _job_dict(row) -> dict:
+    """A job row as a JSON-safe dict: ``job_id``, decoded error, flag bool."""
+    job = dict(row)
+    job["job_id"] = job.pop("id")
+    job["error"] = _decode_error(job["error"])
+    job["cancel_requested"] = bool(job["cancel_requested"])
+    return job
+
+
+def _claim_budget_error(attempts: int, message: str) -> dict:
+    """The error of a job claimed ``attempts`` times without completing."""
+    return {
+        "type": "ClaimBudgetExhausted",
+        "message": f"{message} (worker crashes?)",
+        "classification": TRANSIENT,
+        "attempts": attempts,
+    }
+
+
 class _ShardFailed(Exception):
     """Internal: a shard exhausted its retry budget (payload = error dict)."""
 
@@ -151,14 +170,6 @@ class JobStore:
         )
         return job_id
 
-    def mark_running(self, job_id: str) -> None:
-        """Legacy ownerless transition; the row is leaseless and therefore
-        immediately reclaimable — runners use :meth:`claim_next` instead."""
-        self._state.execute(
-            "UPDATE jobs SET state = 'running', started_at = ? WHERE id = ?",
-            (now(), job_id),
-        )
-
     # --- lease-based ownership ------------------------------------------
 
     def claim_next(
@@ -186,49 +197,22 @@ class JobStore:
                 ).fetchone()
                 if row is None:
                     return None
-                job_id = row["id"]
+                job_id, attempts = row["id"], row["attempts"]
                 if row["cancel_requested"]:
-                    state._conn.execute(
-                        "UPDATE jobs SET state = 'cancelled', finished_at = ?, "
-                        "owner = NULL, lease_expires = NULL WHERE id = ?",
-                        (t, job_id),
-                    )
-                    self._state.bump_counter("cancelled_jobs")
+                    self._end(job_id, "cancelled")
                     continue
                 if row["deadline"] is not None and t > row["deadline"]:
-                    state._conn.execute(
-                        "UPDATE jobs SET state = 'failed', error = ?, "
-                        "finished_at = ? WHERE id = ?",
-                        (
-                            _encode_error({
-                                "type": "DeadlineExceeded",
-                                "message": "job deadline passed before execution",
-                                "classification": FATAL,
-                                "attempts": row["attempts"],
-                            }),
-                            t,
-                            job_id,
-                        ),
-                    )
+                    self._end(job_id, "failed", error={
+                        "type": "DeadlineExceeded",
+                        "message": "job deadline passed before execution",
+                        "classification": FATAL,
+                        "attempts": attempts,
+                    })
                     continue
-                if row["attempts"] >= max_claims:
-                    state._conn.execute(
-                        "UPDATE jobs SET state = 'failed', error = ?, "
-                        "finished_at = ? WHERE id = ?",
-                        (
-                            _encode_error({
-                                "type": "ClaimBudgetExhausted",
-                                "message": (
-                                    f"claimed {row['attempts']} times without "
-                                    "completing (worker crashes?)"
-                                ),
-                                "classification": TRANSIENT,
-                                "attempts": row["attempts"],
-                            }),
-                            t,
-                            job_id,
-                        ),
-                    )
+                if attempts >= max_claims:
+                    self._end(job_id, "failed", error=_claim_budget_error(
+                        attempts, f"claimed {attempts} times without completing"
+                    ))
                     continue
                 state._conn.execute(
                     "UPDATE jobs SET state = 'running', owner = ?, "
@@ -242,11 +226,11 @@ class JobStore:
         """Requeue running jobs whose lease lapsed; returns the requeue count.
 
         A ``running`` row with an expired — or missing, for rows a v1
-        process or :meth:`mark_running` left behind — lease belongs to a
-        dead or frozen worker.  It is put back in the queue (progress and
-        partial results intact; with a persistent store the completed
-        shards replay for free from the report store).  Rows that already
-        spent their claim budget terminalize as failed instead.
+        process left behind — lease belongs to a dead or frozen worker.
+        It is put back in the queue (progress and partial results intact;
+        with a persistent store the completed shards replay for free from
+        the report store).  Rows that already spent their claim budget
+        terminalize as failed instead.
         """
         t = now()
         requeued = 0
@@ -258,24 +242,9 @@ class JobStore:
             ).fetchall()
             for row in rows:
                 if row["attempts"] >= max_claims:
-                    state._conn.execute(
-                        "UPDATE jobs SET state = 'failed', error = ?, "
-                        "finished_at = ?, owner = NULL, lease_expires = NULL "
-                        "WHERE id = ?",
-                        (
-                            _encode_error({
-                                "type": "ClaimBudgetExhausted",
-                                "message": (
-                                    f"lease expired after {row['attempts']} "
-                                    "claims (worker crashes?)"
-                                ),
-                                "classification": TRANSIENT,
-                                "attempts": row["attempts"],
-                            }),
-                            t,
-                            row["id"],
-                        ),
-                    )
+                    self._end(row["id"], "failed", error=_claim_budget_error(
+                        row["attempts"], f"lease expired after {row['attempts']} claims"
+                    ))
                 else:
                     state._conn.execute(
                         "UPDATE jobs SET state = 'queued', owner = NULL, "
@@ -305,61 +274,67 @@ class JobStore:
     # --- progress / terminal transitions --------------------------------
 
     def progress(
+        self, job_id: str, shards_done: int, partial: dict, owner: str, lease_s: float
+    ) -> bool:
+        """Advance the shard counter and the partial result of ``owner``'s job.
+
+        The update only applies while ``owner`` still holds the job — a
+        row reclaimed by another process is left alone (returns
+        ``False``, telling the caller to stop).  The same write extends
+        the lease by ``lease_s`` (the shard-boundary heartbeat).
+        """
+        cursor = self._state.execute(
+            "UPDATE jobs SET shards_done = ?, result = ?, lease_expires = ? "
+            "WHERE id = ? AND owner = ? AND state = 'running'",
+            (shards_done, json.dumps(partial), now() + lease_s, job_id, owner),
+        )
+        return cursor.rowcount > 0
+
+    def _end(
         self,
         job_id: str,
-        shards_done: int,
-        partial: "dict | None" = None,
+        state: str,
         owner: "str | None" = None,
-        lease_s: "float | None" = None,
+        error=None,
+        result: "dict | None" = None,
     ) -> bool:
-        """Advance the shard counter (and optionally the partial result).
+        """The one terminal transition; returns whether the row changed.
 
-        With ``owner`` the update only applies while the caller still
-        holds the job — a row reclaimed by another process is left alone
-        (returns ``False``, telling the caller to stop).  ``lease_s``
-        extends the lease in the same write (the shard-boundary
-        heartbeat).
+        Sets ``state`` and ``finished_at`` and drops the lease; ``error``
+        and ``result`` fill their columns, and a ``result`` marks every
+        shard done.  With ``owner`` the write lands only while that owner
+        still holds the running job; without it the caller holds the
+        transaction in which it read the row.  A row that turns
+        ``cancelled`` bumps the ``cancelled_jobs`` counter.
         """
-        sets = ["shards_done = ?"]
-        set_params: list = [shards_done]
-        if partial is not None:
-            sets.append("result = ?")
-            set_params.append(json.dumps(partial))
-        if lease_s is not None:
-            sets.append("lease_expires = ?")
-            set_params.append(now() + lease_s)
-        clause = ""
-        guard_params: tuple = ()
+        sets = "state = ?, finished_at = ?, owner = NULL, lease_expires = NULL"
+        params: list = [state, now()]
+        if error is not None:
+            sets += ", error = ?"
+            params.append(_encode_error(error))
+        if result is not None:
+            sets += ", result = ?, shards_done = shards_total"
+            params.append(json.dumps(result))
+        guard = ""
+        params.append(job_id)
         if owner is not None:
-            clause = "AND owner = ? AND state = 'running'"
-            guard_params = (owner,)
+            guard = " AND owner = ? AND state = 'running'"
+            params.append(owner)
         cursor = self._state.execute(
-            f"UPDATE jobs SET {', '.join(sets)} WHERE id = ? {clause}",
-            (*set_params, job_id, *guard_params),
+            f"UPDATE jobs SET {sets} WHERE id = ?{guard}", tuple(params)
         )
-        return cursor.rowcount > 0
+        ended = cursor.rowcount > 0
+        if ended and state == "cancelled":
+            self._state.bump_counter("cancelled_jobs")
+        return ended
 
-    def finish(self, job_id: str, result: dict, owner: "str | None" = None) -> bool:
-        clause = "" if owner is None else "AND owner = ? AND state = 'running'"
-        params: tuple = () if owner is None else (owner,)
-        cursor = self._state.execute(
-            "UPDATE jobs SET state = 'done', result = ?, finished_at = ?, "
-            "shards_done = shards_total, owner = NULL, lease_expires = NULL "
-            f"WHERE id = ? {clause}",
-            (json.dumps(result), now(), job_id, *params),
-        )
-        return cursor.rowcount > 0
+    def finish(self, job_id: str, result: dict, owner: str) -> bool:
+        """Terminalize ``owner``'s running job as ``done`` with ``result``."""
+        return self._end(job_id, "done", owner, result=result)
 
-    def fail(self, job_id: str, error, owner: "str | None" = None) -> bool:
+    def fail(self, job_id: str, error, owner: str) -> bool:
         """Terminalize as ``failed``; ``error`` may be a structured dict."""
-        clause = "" if owner is None else "AND owner = ? AND state = 'running'"
-        params: tuple = () if owner is None else (owner,)
-        cursor = self._state.execute(
-            "UPDATE jobs SET state = 'failed', error = ?, finished_at = ?, "
-            f"owner = NULL, lease_expires = NULL WHERE id = ? {clause}",
-            (_encode_error(error), now(), job_id, *params),
-        )
-        return cursor.rowcount > 0
+        return self._end(job_id, "failed", owner, error=error)
 
     # --- cancellation ----------------------------------------------------
 
@@ -374,7 +349,6 @@ class JobStore:
         shard boundary (``state`` comes back ``"cancelling"``).  Terminal
         jobs are reported unchanged; unknown ids return ``None``.
         """
-        t = now()
         with self._state.transaction() as state:
             clause = "" if tenant is None else "AND tenant = ?"
             params = (job_id,) if tenant is None else (job_id, tenant)
@@ -383,21 +357,15 @@ class JobStore:
             ).fetchone()
             if row is None:
                 return None
-            if row["state"] == "queued":
-                state._conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', cancel_requested = 1, "
-                    "finished_at = ? WHERE id = ?",
-                    (t, job_id),
-                )
-                self._state.bump_counter("cancelled_jobs")
-                return {"state": "cancelled", "changed": True}
+            if row["state"] in TERMINAL_JOB_STATES:
+                return {"state": row["state"], "changed": False}
+            state._conn.execute(
+                "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
+            )
             if row["state"] == "running":
-                state._conn.execute(
-                    "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
-                    (job_id,),
-                )
                 return {"state": "cancelling", "changed": True}
-            return {"state": row["state"], "changed": False}
+            self._end(job_id, "cancelled")
+            return {"state": "cancelled", "changed": True}
 
     def cancel_requested(self, job_id: str) -> bool:
         row = self._state.query_one(
@@ -405,20 +373,9 @@ class JobStore:
         )
         return bool(row is not None and row["cancel_requested"])
 
-    def mark_cancelled(self, job_id: str, owner: "str | None" = None) -> bool:
-        """Terminalize a running job as ``cancelled`` (owner-guarded)."""
-        clause = "" if owner is None else "AND owner = ?"
-        params: tuple = () if owner is None else (owner,)
-        cursor = self._state.execute(
-            "UPDATE jobs SET state = 'cancelled', finished_at = ?, "
-            "owner = NULL, lease_expires = NULL "
-            f"WHERE id = ? AND state = 'running' {clause}",
-            (now(), job_id, *params),
-        )
-        if cursor.rowcount > 0:
-            self._state.bump_counter("cancelled_jobs")
-            return True
-        return False
+    def mark_cancelled(self, job_id: str, owner: str) -> bool:
+        """Terminalize ``owner``'s running job as ``cancelled``."""
+        return self._end(job_id, "cancelled", owner)
 
     # --- reads ----------------------------------------------------------
 
@@ -431,14 +388,11 @@ class JobStore:
         )
         if row is None:
             return None
-        payload = dict(row)
-        payload["job_id"] = payload.pop("id")
-        payload["payload"] = json.loads(payload["payload"])
-        if payload["result"] is not None:
-            payload["result"] = json.loads(payload["result"])
-        payload["error"] = _decode_error(payload["error"])
-        payload["cancel_requested"] = bool(payload["cancel_requested"])
-        return payload
+        job = _job_dict(row)
+        job["payload"] = json.loads(job["payload"])
+        if job["result"] is not None:
+            job["result"] = json.loads(job["result"])
+        return job
 
     def list(self, tenant: "str | None" = None, limit: int = 50) -> list:
         """Newest-first job summaries (no payload/result), JSON-safe."""
@@ -451,14 +405,7 @@ class JobStore:
             f"FROM jobs {clause} ORDER BY created_at DESC, id LIMIT ?",
             (*params, max(1, int(limit))),
         )
-        summaries = []
-        for row in rows:
-            summary = dict(row)
-            summary["job_id"] = summary.pop("id")
-            summary["error"] = _decode_error(summary["error"])
-            summary["cancel_requested"] = bool(summary["cancel_requested"])
-            summaries.append(summary)
-        return summaries
+        return [_job_dict(row) for row in rows]
 
     def active_count(self, tenant: "str | None" = None) -> int:
         clause = "" if tenant is None else "AND tenant = ?"
@@ -528,7 +475,7 @@ class JobRunner:
         max_active_per_tenant: int = MAX_ACTIVE_JOBS_PER_TENANT,
         lease_s: float = DEFAULT_LEASE_S,
         poll_s: float = DEFAULT_POLL_S,
-        retry: "RetryPolicy | None" = None,
+        retry: RetryPolicy = RetryPolicy(),
         deadline_s: "float | None" = None,
         max_claims: int = DEFAULT_MAX_CLAIMS,
         owner: "str | None" = None,
@@ -553,7 +500,7 @@ class JobRunner:
         self.max_active_per_tenant = max_active_per_tenant
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
-        self.retry = retry or RetryPolicy()
+        self.retry = retry
         self.deadline_s = deadline_s
         self.max_claims = int(max_claims)
         #: Claim identity recorded in the ``owner`` column — unique per
@@ -565,7 +512,7 @@ class JobRunner:
         self.submitted = 0
         self.retries = 0
         # startup sweep: requeue whatever a dead predecessor left leased
-        # (v1 rows and mark_running rows have no lease and requeue too)
+        # (v1 rows have no lease and requeue too)
         self.reclaimed = self.jobs.reclaim_expired(self.max_claims)
         self._lock = threading.Lock()
         self._running: set = set()
@@ -617,14 +564,12 @@ class JobRunner:
         Validation happens at submit time, before any row is written, so a
         malformed body is a synchronous 400 — not a job that is born dead.
         """
-        from repro.api.executor import expand_matrix
+        from repro.api.executor import MAX_SWEEP_REQUESTS, expand_matrix
         from repro.api.protocol import AttackRequest
 
         if kind == "attack":
             return [AttackRequest.from_dict(payload).validate()]
         if kind == "sweep":
-            from repro.service.app import MAX_SWEEP_REQUESTS
-
             requests = expand_matrix(payload, max_requests=MAX_SWEEP_REQUESTS)
             for request in requests:
                 request.validate()

@@ -29,6 +29,19 @@ from repro.errors import ConfigError
 from repro.store.db import StateStore, now
 from repro.testing import faults
 
+#: One tenant's bucket: its overrides and its live state.
+_BUCKET_SQL = (
+    "SELECT refill_per_s, burst, tokens, updated_at FROM tenants WHERE tenant = ?"
+)
+
+
+def _check_limits(refill_per_s: "float | None", burst: "float | None") -> None:
+    """Reject a refill rate or burst that is set but not positive."""
+    if refill_per_s is not None and refill_per_s <= 0:
+        raise ConfigError(f"refill_per_s must be > 0 or None, got {refill_per_s}")
+    if burst is not None and burst <= 0:
+        raise ConfigError(f"burst must be > 0 or None, got {burst}")
+
 
 @dataclass(frozen=True)
 class RateDecision:
@@ -57,12 +70,7 @@ class TenantRateLimiter:
         burst: "float | None" = None,
         clock=now,
     ) -> None:
-        if refill_per_s is not None and refill_per_s <= 0:
-            raise ConfigError(
-                f"refill_per_s must be > 0 or None, got {refill_per_s}"
-            )
-        if burst is not None and burst <= 0:
-            raise ConfigError(f"burst must be > 0 or None, got {burst}")
+        _check_limits(refill_per_s, burst)
         self.state = state
         self.default_refill_per_s = refill_per_s
         self.default_burst = burst
@@ -84,11 +92,7 @@ class TenantRateLimiter:
             # chaos seam: an injected sqlite error here is indistinguishable
             # from the limiter's database genuinely being unavailable
             faults.fire(faults.SEAM_REFILL)
-            row = state._conn.execute(
-                "SELECT refill_per_s, burst, tokens, updated_at "
-                "FROM tenants WHERE tenant = ?",
-                (tenant,),
-            ).fetchone()
+            row = state._conn.execute(_BUCKET_SQL, (tenant,)).fetchone()
             refill, burst = self._effective_limits(row)
             if refill is None:
                 return RateDecision(allowed=True, limited=False)
@@ -156,12 +160,7 @@ class TenantRateLimiter:
         NULL → full on next use): a tenant whose budget was just raised
         should not start in debt from the old bucket's state.
         """
-        if refill_per_s is not None and refill_per_s <= 0:
-            raise ConfigError(
-                f"refill_per_s must be > 0 or None, got {refill_per_s}"
-            )
-        if burst is not None and burst <= 0:
-            raise ConfigError(f"burst must be > 0 or None, got {burst}")
+        _check_limits(refill_per_s, burst)
         if burst is not None and refill_per_s is None:
             raise ConfigError("burst override requires refill_per_s")
         with self.state.transaction() as state:
@@ -179,11 +178,7 @@ class TenantRateLimiter:
 
     def snapshot(self, tenant: str) -> dict:
         """One tenant's effective limits and live bucket, JSON-safe."""
-        row = self.state.query_one(
-            "SELECT refill_per_s, burst, tokens, updated_at "
-            "FROM tenants WHERE tenant = ?",
-            (tenant,),
-        )
+        row = self.state.query_one(_BUCKET_SQL, (tenant,))
         refill, burst = self._effective_limits(row)
         info = {
             "tenant": tenant,

@@ -168,7 +168,10 @@ def test_interrupted_jobs_are_requeued_and_finished_after_restart(tmp_path):
     zombie = store.jobs.create(
         "default", "attack", dict(SWEEP_BODY["base"]), shards_total=1
     )
-    store.jobs.mark_running(zombie)
+    store.execute(
+        "UPDATE jobs SET state = 'running', started_at = ? WHERE id = ?",
+        (time.time(), zombie),
+    )
     store.close()
 
     proc, base = start_server(state_dir)

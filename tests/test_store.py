@@ -244,12 +244,14 @@ class TestJobStore:
         job = mem_store.jobs.get(job_id)
         assert job["state"] == "queued"
         assert job["payload"] == {"x": 1}
-        mem_store.jobs.mark_running(job_id)
-        mem_store.jobs.progress(job_id, 2, partial={"count": 2})
+        mem_store.jobs.claim_next("w1")
+        mem_store.jobs.progress(
+            job_id, 2, partial={"count": 2}, owner="w1", lease_s=30.0
+        )
         job = mem_store.jobs.get(job_id)
         assert (job["state"], job["shards_done"]) == ("running", 2)
         assert job["result"] == {"count": 2}
-        mem_store.jobs.finish(job_id, {"count": 3})
+        mem_store.jobs.finish(job_id, {"count": 3}, owner="w1")
         job = mem_store.jobs.get(job_id)
         assert (job["state"], job["shards_done"]) == ("done", 3)
 
@@ -259,11 +261,16 @@ class TestJobStore:
 
     def test_restart_requeues_interrupted(self, tmp_path):
         store = StateStore.at_dir(tmp_path)
+        done = store.jobs.create("default", "attack", {})
+        store.jobs.claim_next("w1")
+        store.jobs.finish(done, {}, owner="w1")
         queued = store.jobs.create("default", "attack", {})
         running = store.jobs.create("default", "sweep", {})
-        store.jobs.mark_running(running)  # leaseless, like a dead worker's
-        done = store.jobs.create("default", "attack", {})
-        store.jobs.finish(done, {})
+        # running without a lease, the row a dead v1 worker leaves behind
+        store.execute(
+            "UPDATE jobs SET state = 'running', started_at = ? WHERE id = ?",
+            (now(), running),
+        )
         store.close()
 
         reopened = StateStore.at_dir(tmp_path)
@@ -285,11 +292,12 @@ class TestJobStore:
 
     def test_structured_error_round_trips(self, mem_store):
         job_id = mem_store.jobs.create("default", "attack", {})
-        mem_store.jobs.mark_running(job_id)
+        mem_store.jobs.claim_next("w1")
         mem_store.jobs.fail(
             job_id,
             {"type": "FaultInjected", "message": "boom",
              "classification": "transient", "shard": 2, "attempts": 3},
+            owner="w1",
         )
         job = mem_store.jobs.get(job_id)
         assert job["error"]["type"] == "FaultInjected"
@@ -346,7 +354,9 @@ class TestLeases:
         # w1 lost its lease: none of its terminal writes may land
         assert not mem_store.jobs.finish(job_id, {"stale": True}, owner="w1")
         assert not mem_store.jobs.fail(job_id, "stale", owner="w1")
-        assert not mem_store.jobs.progress(job_id, 1, owner="w1")
+        assert not mem_store.jobs.progress(
+            job_id, 1, partial={}, owner="w1", lease_s=30.0
+        )
         assert mem_store.jobs.finish(job_id, {"ok": True}, owner="w2")
         job = mem_store.jobs.get(job_id)
         assert job["state"] == "done" and job["result"] == {"ok": True}
@@ -393,8 +403,8 @@ class TestCancellation:
 class TestRetention:
     def test_prune_by_age_spares_live_work(self, mem_store):
         old = mem_store.jobs.create("default", "attack", {})
-        mem_store.jobs.mark_running(old)
-        mem_store.jobs.finish(old, {})
+        mem_store.jobs.claim_next("w1")
+        mem_store.jobs.finish(old, {}, owner="w1")
         live = mem_store.jobs.create("default", "attack", {})
         mem_store.execute(
             "UPDATE jobs SET finished_at = ?, created_at = ? WHERE id = ?",
@@ -414,8 +424,8 @@ class TestRetention:
         ids = []
         for _ in range(5):
             job_id = mem_store.jobs.create("default", "attack", {})
-            mem_store.jobs.mark_running(job_id)
-            mem_store.jobs.finish(job_id, {})
+            mem_store.jobs.claim_next("w1")
+            mem_store.jobs.finish(job_id, {}, owner="w1")
             ids.append(job_id)
         summary = mem_store.prune(keep_jobs=2)
         assert summary["pruned_jobs"] == 3
