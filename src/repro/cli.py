@@ -51,6 +51,22 @@ from repro.core.config import KNOBS, Knob
 from repro.errors import ConfigError
 from repro.experiments import run_fig1, run_fig2, run_fig7
 from repro.forum import load_dataset, save_dataset
+from repro.service import (
+    DEFAULT_ADMISSION_WAIT_S,
+    DEFAULT_BREAKER_COOLDOWN_S,
+    DEFAULT_BREAKER_THRESHOLD,
+    DEFAULT_MAX_SYNC_ATTACKS,
+    MAX_BODY_BYTES,
+    create_app,
+    serve,
+)
+from repro.store import (
+    DEFAULT_LEASE_S,
+    STATE_DB_FILENAME,
+    RetryPolicy,
+    StateStore,
+    TenantRateLimiter,
+)
 
 
 #: The knobs ``sweep`` can force onto every variant of its matrix.
@@ -223,7 +239,6 @@ def build_engine_for_serve(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import create_app, serve
     from repro.testing import faults
 
     # chaos harness hook: a REPRO_FAULTS env var (serialized FaultPlan)
@@ -233,20 +248,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.corpus, cache_budget_mb=args.cache_budget_mb
     )
     if args.state_dir:
-        from repro.store import StateStore
-
         # attach before create_app so registered --corpus files are written
         # through and previously persisted corpora rehydrate
         engine.attach_store(StateStore.at_dir(args.state_dir))
-    overload_kwargs = {
-        name: value
-        for name, value in (
-            ("max_body_bytes", args.max_body_bytes),
-            ("breaker_threshold", args.breaker_threshold),
-            ("breaker_cooldown_s", args.breaker_cooldown_s),
-        )
-        if value is not None
-    }
     app = create_app(
         engine,
         job_workers=args.job_workers,
@@ -258,7 +262,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_deadline_s=args.request_deadline_s,
         max_sync_attacks=args.max_sync_attacks,
         admission_wait_s=args.admission_wait_s,
-        **overload_kwargs,
+        max_body_bytes=args.max_body_bytes,
+        breaker_threshold=args.breaker_threshold,
+        breaker_cooldown_s=args.breaker_cooldown_s,
     )
     serve(app=app, host=args.host, port=args.port)
     return 0
@@ -266,8 +272,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _open_state(state_dir: str):
     """Open an existing service state database (never creates one)."""
-    from repro.store import STATE_DB_FILENAME, StateStore
-
     db_path = Path(state_dir) / STATE_DB_FILENAME
     if not db_path.exists():
         raise SystemExit(f"error: no state database at {db_path}")
@@ -275,8 +279,7 @@ def _open_state(state_dir: str):
 
 
 def _cmd_reports(args: argparse.Namespace) -> int:
-    state = _open_state(args.state_dir)
-    try:
+    with _open_state(args.state_dir) as state:
         if args.id is not None:
             payload = state.reports.fetch(args.id, tenant=None)
             if payload is None:
@@ -298,13 +301,10 @@ def _cmd_reports(args: argparse.Namespace) -> int:
             f"(pruned so far: {counters['pruned_reports']})"
         )
         return 0
-    finally:
-        state.close()
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    state = _open_state(args.state_dir)
-    try:
+    with _open_state(args.state_dir) as state:
         if args.id is not None:
             payload = state.jobs.get(args.id, tenant=None)
             if payload is None:
@@ -332,19 +332,14 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             f"cancelled: {counters['cancelled_jobs']})"
         )
         return 0
-    finally:
-        state.close()
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
-    from repro.store import TenantRateLimiter
-
     if args.set and args.clear:
         raise SystemExit("error: --set and --clear are mutually exclusive")
     if (args.refill_per_s is not None or args.burst is not None) and not args.set:
         raise SystemExit("error: --refill-per-s/--burst require --set TENANT")
-    state = _open_state(args.state_dir)
-    try:
+    with _open_state(args.state_dir) as state:
         limiter = TenantRateLimiter(state)
         if args.set:
             if args.refill_per_s is None:
@@ -386,13 +381,10 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
             print(line)
         print(f"{len(counters)} tenant(s) in {args.state_dir}")
         return 0
-    finally:
-        state.close()
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    state = _open_state(args.state_dir)
-    try:
+    with _open_state(args.state_dir) as state:
         summary = state.prune(
             max_age_s=args.max_age_s,
             keep_reports=args.keep_reports,
@@ -409,8 +401,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
             "(counters, rate limits, and token buckets are never pruned)"
         )
         return 0
-    finally:
-        state.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(async /attack and /sweep requests)",
     )
     srv.add_argument(
-        "--job-lease-s", type=float, default=None, metavar="S",
+        "--job-lease-s", type=float, default=DEFAULT_LEASE_S, metavar="S",
         help="background-job lease duration: a crashed worker's jobs are "
              "requeued once their lease lapses — several server processes "
-             "may share one --state-dir (default: 30)",
+             "may share one --state-dir (default: %(default)g)",
     )
     srv.add_argument(
         "--job-deadline-s", type=float, default=None, metavar="S",
@@ -513,10 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
              "failed instead of starting another shard (default: none)",
     )
     srv.add_argument(
-        "--job-retries", type=int, default=None, metavar="N",
+        "--job-retries", type=int, default=RetryPolicy.max_attempts, metavar="N",
         help="per-shard attempt budget for transient failures (sqlite "
              "lock contention, crashed workers); fatal errors never "
-             "retry (default: 3)",
+             "retry (default: %(default)d)",
     )
     srv.add_argument(
         "--rate-limit-per-s", type=float, default=None, metavar="R",
@@ -540,31 +530,35 @@ def build_parser() -> argparse.ArgumentParser:
              "worker (default: none; requests may set their own)",
     )
     srv.add_argument(
-        "--max-sync-attacks", type=int, default=4, metavar="N",
+        "--max-sync-attacks", type=int, default=DEFAULT_MAX_SYNC_ATTACKS,
+        metavar="N",
         help="synchronous attack/sweep requests executing at once; "
              "arrivals beyond it wait briefly, then shed with a "
-             "retriable 503 (default: 4)",
+             "retriable 503 (default: %(default)d)",
     )
     srv.add_argument(
-        "--admission-wait-s", type=float, default=0.5, metavar="S",
+        "--admission-wait-s", type=float, default=DEFAULT_ADMISSION_WAIT_S,
+        metavar="S",
         help="how long an arriving sync attack waits for a slot before "
-             "being shed (default: 0.5)",
+             "being shed (default: %(default)g)",
     )
     srv.add_argument(
-        "--max-body-bytes", type=int, default=None, metavar="N",
+        "--max-body-bytes", type=int, default=MAX_BODY_BYTES, metavar="N",
         help="reject request bodies over N bytes with 413 before reading "
-             "them (default: 8 MiB)",
+             "them (default: %(default)d)",
     )
     srv.add_argument(
-        "--breaker-threshold", type=int, default=None, metavar="N",
+        "--breaker-threshold", type=int, default=DEFAULT_BREAKER_THRESHOLD,
+        metavar="N",
         help="consecutive deterministic failures before a corpus's "
              "circuit opens and its sync attacks fail fast with 503 "
-             "(default: 3)",
+             "(default: %(default)d)",
     )
     srv.add_argument(
-        "--breaker-cooldown-s", type=float, default=None, metavar="S",
+        "--breaker-cooldown-s", type=float, default=DEFAULT_BREAKER_COOLDOWN_S,
+        metavar="S",
         help="seconds an open circuit waits before admitting one "
-             "half-open probe request (default: 30)",
+             "half-open probe request (default: %(default)g)",
     )
     srv.set_defaults(func=_cmd_serve)
 

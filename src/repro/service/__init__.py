@@ -28,7 +28,6 @@ from repro.service.app import (
     RETRIABLE_STATUSES,
     SHED_STATUSES,
     create_app,
-    expand_grid,
 )
 from repro.service.breaker import (
     DEFAULT_BREAKER_COOLDOWN_S,
@@ -58,7 +57,6 @@ __all__ = [
     "ThreadingWSGIServer",
     "call_app",
     "create_app",
-    "expand_grid",
     "make_service_server",
     "serve",
 ]

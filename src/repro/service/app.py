@@ -88,10 +88,11 @@ import math
 import re
 import threading
 import time
+from contextlib import contextmanager
 from urllib.parse import parse_qs
 
 from repro.api.engine import Engine
-from repro.api.executor import MAX_WORKERS, expand_grid as _expand_grid, expand_matrix
+from repro.api.executor import MAX_SWEEP_REQUESTS, MAX_WORKERS, expand_matrix
 from repro.api.protocol import DEFAULT_TENANT, AttackRequest
 from repro.errors import (
     ConfigError,
@@ -109,6 +110,7 @@ from repro.service.breaker import (
     CircuitBreaker,
 )
 from repro.store import (
+    DEFAULT_LEASE_S,
     FATAL,
     JobRunner,
     RetryPolicy,
@@ -139,9 +141,6 @@ SHED_STATUSES: tuple = (413, 429, 503, 504)
 #: Sheds a client should retry verbatim after backing off (413 is not:
 #: the same oversized body will be rejected again).
 RETRIABLE_STATUSES: tuple = (429, 503, 504)
-
-#: Hard cap on expanded sweep size, so one request cannot wedge the worker.
-MAX_SWEEP_REQUESTS = 256
 
 #: Cap on the per-request ``workers`` knob of ``POST /sweep``; the engine
 #: clamps again at :data:`repro.api.MAX_WORKERS`.
@@ -187,17 +186,6 @@ def _error_status(exc: Exception) -> int:
     return 500
 
 
-def expand_grid(base: dict, grid: dict) -> list:
-    """Cartesian-product expansion of ``grid`` values over a ``base`` request.
-
-    ``{"base": {"corpus": "c"}, "grid": {"top_k": [5, 10], "classifier":
-    ["knn", "smo"]}}`` yields four requests.  Keys are validated by
-    :meth:`AttackRequest.from_dict`, so typos fail with a 400.  Delegates to
-    :func:`repro.api.executor.expand_grid` with the service-level size cap.
-    """
-    return _expand_grid(base, grid, max_requests=MAX_SWEEP_REQUESTS)
-
-
 class DeHealthApp:
     """WSGI application exposing an :class:`~repro.api.Engine` as JSON routes.
 
@@ -213,9 +201,9 @@ class DeHealthApp:
         engine: "Engine | None" = None,
         state: "StateStore | None" = None,
         job_workers: int = 2,
-        job_lease_s: "float | None" = None,
+        job_lease_s: float = DEFAULT_LEASE_S,
         job_deadline_s: "float | None" = None,
-        job_retries: "int | None" = None,
+        job_retries: int = RetryPolicy.max_attempts,
         rate_limit_per_s: "float | None" = None,
         rate_burst: "float | None" = None,
         request_deadline_s: "float | None" = None,
@@ -255,15 +243,13 @@ class DeHealthApp:
         self.state = state or engine_store or StateStore(None)
         if engine_store is None:
             self.engine.attach_store(self.state)
-        runner_kwargs = {}
-        if job_lease_s is not None:
-            runner_kwargs["lease_s"] = job_lease_s
-        if job_deadline_s is not None:
-            runner_kwargs["deadline_s"] = job_deadline_s
-        if job_retries is not None:
-            runner_kwargs["retry"] = RetryPolicy(max_attempts=job_retries)
         self.runner = JobRunner(
-            self.engine, self.state, workers=job_workers, **runner_kwargs
+            self.engine,
+            self.state,
+            workers=job_workers,
+            lease_s=job_lease_s,
+            deadline_s=job_deadline_s,
+            retry=RetryPolicy(max_attempts=job_retries),
         )
         # overload posture: durable per-tenant token buckets (shared by
         # every server on this state database), a bounded admission gate
@@ -485,6 +471,7 @@ class DeHealthApp:
                 retry_after_s=decision.retry_after_s,
             )
 
+    @contextmanager
     def _admission(self):
         """Context manager: one bounded slot for a synchronous attack.
 
@@ -493,7 +480,62 @@ class DeHealthApp:
         fits.  The chaos seam fires *after* admission so injected faults
         hit admitted requests exactly where real execution stalls would.
         """
-        return _Admission(self)
+        if not self._gate.acquire(timeout=self.admission_wait_s):
+            raise ServiceBusyError(
+                f"all {self.max_sync_attacks} synchronous attack slots are "
+                f"busy (waited {self.admission_wait_s:g}s)",
+                retry_after_s=2.0,
+            )
+        with self._overload_lock:
+            self._sync_active += 1
+        try:
+            # chaos seam: fires after admission, before execution —
+            # injected delays occupy a real slot (driving admission sheds),
+            # and injected errors surface as a retriable 503, never a 500
+            try:
+                faults.fire(faults.SEAM_REQUEST)
+            except ReproError:
+                raise
+            except BaseException as exc:
+                raise ServiceBusyError(
+                    f"request path interrupted: {exc}", retry_after_s=1.0
+                ) from exc
+            yield
+        finally:
+            with self._overload_lock:
+                self._sync_active -= 1
+            self._gate.release()
+
+    @contextmanager
+    def _sync_run(self, tenant: str, requests: list):
+        """Admit a synchronous run of ``requests``; yields them with the
+        service's default deadline applied.
+
+        Corpus resolution comes *before* the charge and the breaker: a
+        request for an unknown corpus 400s without burning budget or
+        counting against a corpus.  The charge is one token per request,
+        so N attacks through /sweep and through /attack drain the bucket
+        alike.  The run's outcome feeds the per-corpus breakers.
+        """
+        fingerprints = sorted(set(self._fingerprints(requests)))
+        self._charge(tenant, cost=float(len(requests)))
+        for fingerprint in fingerprints:
+            self.breaker.allow(fingerprint)
+        requests = [self._with_deadline(request) for request in requests]
+        try:
+            with self._admission():
+                yield requests
+        except Exception as exc:
+            self._record_outcome(fingerprints, exc)
+            raise
+        self._record_outcome(fingerprints, None)
+
+    def _submit(self, tenant: str, kind: str, body: dict, requests: list) -> str:
+        """Queue ``body`` as a background job once its corpora resolve and
+        its tokens (one per request) are paid; returns the job id."""
+        self._fingerprints(requests)
+        self._charge(tenant, cost=float(len(requests)))
+        return self.runner.submit(kind, body, tenant=tenant)
 
     def _fingerprints(self, requests) -> list:
         """Resolve each request's corpus fingerprint, failing fast (400).
@@ -551,6 +593,32 @@ class DeHealthApp:
             raise ConfigError(
                 f"unknown fields: {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
+
+    @staticmethod
+    def _users_and_seed(body: dict) -> tuple:
+        """The ``users`` and ``seed`` fields of /generate and /linkage."""
+        try:
+            users = int(body.get("users", 300))
+            seed = int(body.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"users and seed must be integers: {exc}") from exc
+        if users > MAX_GENERATE_USERS:
+            raise ConfigError(
+                f"users must be <= {MAX_GENERATE_USERS}, got {users}"
+            )
+        return users, seed
+
+    @staticmethod
+    def _corpus_name(body: dict) -> "str | None":
+        """The optional ``name`` field of /generate and /corpora."""
+        name = body.get("name")
+        if name is not None and (
+            not isinstance(name, str) or not 1 <= len(name) <= 128
+        ):
+            raise ConfigError(
+                f"name must be a string of 1-128 characters, got {name!r}"
+            )
+        return name
 
     @staticmethod
     def _pop_async(body: dict) -> bool:
@@ -638,22 +706,8 @@ class DeHealthApp:
     def _generate(self, environ, tenant) -> tuple:
         body = self._read_json(environ)
         self._only_keys(body, ("preset", "users", "seed", "name"))
-        try:
-            users = int(body.get("users", 300))
-            seed = int(body.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"users and seed must be integers: {exc}") from exc
-        if users > MAX_GENERATE_USERS:
-            raise ConfigError(
-                f"users must be <= {MAX_GENERATE_USERS}, got {users}"
-            )
-        name = body.get("name")
-        if name is not None and (
-            not isinstance(name, str) or not 1 <= len(name) <= 128
-        ):
-            raise ConfigError(
-                f"name must be a string of 1-128 characters, got {name!r}"
-            )
+        users, seed = self._users_and_seed(body)
+        name = self._corpus_name(body)
         self._charge(tenant)
         summary = self.engine.generate(
             preset=body.get("preset", "webmd"),
@@ -671,13 +725,7 @@ class DeHealthApp:
         jsonl = body.get("jsonl")
         if not isinstance(jsonl, str) or not jsonl.strip():
             raise ConfigError("jsonl must be a non-empty string of JSONL")
-        name = body.get("name")
-        if name is not None and (
-            not isinstance(name, str) or not 1 <= len(name) <= 128
-        ):
-            raise ConfigError(
-                f"name must be a string of 1-128 characters, got {name!r}"
-            )
+        name = self._corpus_name(body)
         self._charge(tenant)
         dataset = loads_dataset(
             jsonl,
@@ -689,29 +737,13 @@ class DeHealthApp:
 
     def _attack(self, environ, tenant) -> tuple:
         body = self._read_json(environ)
-        if self._pop_async(body):
-            request = AttackRequest.from_dict(body).validate()
-            self._fingerprints([request])
-            self._charge(tenant)
-            job_id = self.runner.submit("attack", body, tenant=tenant)
+        run_async = self._pop_async(body)
+        request = AttackRequest.from_dict(body).validate()
+        if run_async:
+            job_id = self._submit(tenant, "attack", body, [request])
             return 202, {"job_id": job_id, "state": "queued", "kind": "attack"}
-        request = AttackRequest.from_dict(body)
-        request.validate()
-        # validation and corpus resolution come *before* the charge and the
-        # breaker: a malformed request 400s without burning budget or
-        # counting against a corpus
-        fingerprints = self._fingerprints([request])
-        self._charge(tenant)
-        for fingerprint in fingerprints:
-            self.breaker.allow(fingerprint)
-        request = self._with_deadline(request)
-        try:
-            with self._admission():
-                report = self.engine.attack(request, tenant=tenant)
-        except Exception as exc:
-            self._record_outcome(fingerprints, exc)
-            raise
-        self._record_outcome(fingerprints, None)
+        with self._sync_run(tenant, [request]) as (request,):
+            report = self.engine.attack(request, tenant=tenant)
         return 200, report.to_dict()
 
     def _sweep(self, environ, tenant) -> tuple:
@@ -726,38 +758,24 @@ class DeHealthApp:
                 f"workers must be in [1, {MAX_SERVICE_WORKERS}], got {workers}"
             )
         requests = expand_matrix(body, max_requests=MAX_SWEEP_REQUESTS)
-        # a sweep costs one token per expanded request — N attacks through
-        # /sweep and N attacks through /attack drain the bucket identically
         if run_async:
             # background job: shard-serial execution (per-shard progress,
             # canonical reports byte-identical to this synchronous path)
-            self._fingerprints(requests)
-            self._charge(tenant, cost=float(len(requests)))
-            job_id = self.runner.submit("sweep", body, tenant=tenant)
+            job_id = self._submit(tenant, "sweep", body, requests)
             return 202, {
                 "job_id": job_id,
                 "state": "queued",
                 "kind": "sweep",
                 "shards_total": len(requests),
             }
-        fingerprints = sorted(set(self._fingerprints(requests)))
-        self._charge(tenant, cost=float(len(requests)))
-        for fingerprint in fingerprints:
-            self.breaker.allow(fingerprint)
-        requests = [self._with_deadline(request) for request in requests]
         # thread backend, deliberately: the server is multi-threaded, and
         # forking a multi-threaded process (the process backend's fork
         # start method) can deadlock the children; threads also land the
         # fitted sessions in this engine's cache for later requests.
-        try:
-            with self._admission():
-                reports = self.engine.sweep(
-                    requests, parallel=workers, backend="thread", tenant=tenant
-                )
-        except Exception as exc:
-            self._record_outcome(fingerprints, exc)
-            raise
-        self._record_outcome(fingerprints, None)
+        with self._sync_run(tenant, requests) as requests:
+            reports = self.engine.sweep(
+                requests, parallel=workers, backend="thread", tenant=tenant
+            )
         return 200, {
             "count": len(reports),
             "workers": workers,
@@ -767,15 +785,7 @@ class DeHealthApp:
     def _linkage(self, environ, tenant) -> tuple:
         body = self._read_json(environ)
         self._only_keys(body, ("users", "seed"))
-        try:
-            users = int(body.get("users", 300))
-            seed = int(body.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"users and seed must be integers: {exc}") from exc
-        if users > MAX_GENERATE_USERS:
-            raise ConfigError(
-                f"users must be <= {MAX_GENERATE_USERS}, got {users}"
-            )
+        users, seed = self._users_and_seed(body)
         self._charge(tenant)
         return 200, self.engine.linkage(users=users, seed=seed)
 
@@ -828,46 +838,6 @@ class DeHealthApp:
                 "Conflict", f"job {job_id} is already {outcome['state']}"
             )
         return 200, {"job_id": job_id, "state": outcome["state"]}
-
-
-class _Admission:
-    """``with app._admission():`` — one bounded synchronous-attack slot."""
-
-    def __init__(self, app: DeHealthApp) -> None:
-        self._app = app
-
-    def __enter__(self) -> None:
-        app = self._app
-        if not app._gate.acquire(timeout=app.admission_wait_s):
-            raise ServiceBusyError(
-                f"all {app.max_sync_attacks} synchronous attack slots are "
-                f"busy (waited {app.admission_wait_s:g}s)",
-                retry_after_s=2.0,
-            )
-        with app._overload_lock:
-            app._sync_active += 1
-        # chaos seam: fires after admission, before execution — injected
-        # delays occupy a real slot (driving admission sheds), and
-        # injected errors surface as a retriable 503, never a 500
-        try:
-            faults.fire(faults.SEAM_REQUEST)
-        except ReproError:
-            self._release()
-            raise
-        except BaseException as exc:
-            self._release()
-            raise ServiceBusyError(
-                f"request path interrupted: {exc}", retry_after_s=1.0
-            ) from exc
-
-    def _release(self) -> None:
-        app = self._app
-        with app._overload_lock:
-            app._sync_active -= 1
-        app._gate.release()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._release()
 
 
 #: The application factory: ``create_app(engine, state=..., ...)`` is

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from repro import __version__
-from repro.api import Engine
-from repro.service import MAX_SWEEP_REQUESTS, call_app, create_app, expand_grid
+from repro.api import Engine, expand_grid
+from repro.service import MAX_SWEEP_REQUESTS, call_app, create_app
 from repro.errors import ConfigError
 
 
