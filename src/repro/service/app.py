@@ -58,10 +58,11 @@ malformed JSON) map to 400, :class:`~repro.errors.NotFittedError` to 409,
 bucket's :class:`~repro.errors.RateLimitedError`) to 429,
 :class:`~repro.errors.DeadlineExceeded` to 504,
 :class:`~repro.errors.ServiceBusyError` (admission gate, open circuit
-breakers, a draining server) to 503, any other
-:class:`~repro.errors.ReproError` to 422, unknown routes to 404, wrong
-methods to 405, and unexpected failures to 500 — always as the JSON
-envelope, never as an HTML error page.
+breakers, a draining server, and a store outage at the request counter
+or the limiter) to 503, any other :class:`~repro.errors.ReproError` to
+422, unknown routes to 404, wrong methods to 405, and unexpected
+failures to 500 — always as the JSON envelope, never as an HTML error
+page.
 
 Every shed response (413/429/503/504) carries a ``Retry-After`` header;
 for 429 it is derived from the rejected tenant's actual token deficit —
@@ -316,7 +317,9 @@ class DeHealthApp:
                 )
             else:
                 tenant = self._tenant(environ)
-                self.state.bump_tenant(tenant, "requests")
+                self._shed_outage(
+                    "request counter", self.state.bump_tenant, tenant, "requests"
+                )
                 handler, args, status_hint = self._dispatch(method, path)
                 if handler is None:
                     status, payload = status_hint, self._error_payload(
@@ -447,23 +450,35 @@ class DeHealthApp:
 
     # --- overload controls ----------------------------------------------
 
+    @staticmethod
+    def _shed_outage(what: str, call, *args, **kwargs):
+        """``call(*args, **kwargs)``, shedding a store outage as a 503.
+
+        A store write that fails with anything but a
+        :class:`ReproError` (``database is locked``, a full disk) means
+        the state database is unavailable, so the request is shed with a
+        retriable 503 rather than a 500: honest overload beats a
+        success-rate lie in either direction.
+        """
+        try:
+            return call(*args, **kwargs)
+        except ReproError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — store outage != bug
+            raise ServiceBusyError(
+                f"{what} unavailable: {exc}", retry_after_s=1.0
+            ) from exc
+
     def _charge(self, tenant: str, cost: float = 1.0) -> None:
         """Debit ``cost`` tokens from the tenant's durable bucket.
 
         Raises :class:`RateLimitedError` (429, deficit-derived
-        ``Retry-After``) when the bucket cannot cover the cost.  If the
-        limiter's database is itself unavailable the request is shed with
-        a retriable 503 rather than a 500: honest overload beats a
-        success-rate lie in either direction.
+        ``Retry-After``) when the bucket cannot cover the cost, and sheds
+        a limiter outage with a retriable 503.
         """
-        try:
-            decision = self.limiter.acquire(tenant, cost=cost)
-        except ReproError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — limiter outage != bug
-            raise ServiceBusyError(
-                f"rate limiter unavailable: {exc}", retry_after_s=1.0
-            ) from exc
+        decision = self._shed_outage(
+            "rate limiter", self.limiter.acquire, tenant, cost=cost
+        )
         if not decision.allowed:
             raise RateLimitedError(
                 f"tenant {tenant!r} is over its request budget "

@@ -17,6 +17,8 @@ Covers the service-level overload controls end to end:
   half-open probes admit exactly one caller, success closes the circuit.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.api import AttackRequest, Engine
@@ -505,6 +507,25 @@ class TestCircuitBreaker:
         res = call_app(app, "POST", "/generate", {"users": 12})
         assert res.status == 503
         assert res.json["error"]["retriable"] is True
+
+    def test_request_counter_outage_is_503_not_500(self, app, monkeypatch):
+        # every request bumps its tenant's counter before dispatch, so a
+        # locked database fails there first, on any route
+        def locked(tenant, column, by=1):
+            raise sqlite3.OperationalError("database is locked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(app.state, "bump_tenant", locked)
+            res = call_app(app, "GET", "/healthz")
+        assert res.status == 503
+        assert res.headers["Retry-After"] == "1"
+        assert res.json["error"] == {
+            "type": "ServiceBusyError",
+            "message": "request counter unavailable: database is locked",
+            "retriable": True,
+        }
+        stats = call_app(app, "GET", "/stats").json
+        assert stats["overload"]["shed"]["503"] == 1
 
     def test_admission_interruption_is_503_not_500(self, app, monkeypatch):
         def fire(seam):
