@@ -46,7 +46,7 @@ PARALLEL_MIN_CORES = 4
 PARALLEL_WORKERS = 4
 #: Timed passes per side, alternating reference and cold; each side's
 #: median enters the ratio, so a slow spell of the host weighs on both.
-EXTRACTION_ROUNDS = 5
+EXTRACTION_ROUNDS = 9
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_extraction.json"
 
