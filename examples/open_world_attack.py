@@ -55,9 +55,8 @@ def main() -> None:
         n_landmarks=5,
         classifier="knn",
     )
-    unverified, verified = session.sweep(
-        [base, base.variant(verification="mean", verification_r=0.03)]
-    )
+    unverified = session.run(base)
+    verified = session.run(base.variant(verification="mean", verification_r=0.03))
 
     print("\nDe-Health (K=5, no verification):")
     print(f"  accuracy:            {unverified.refined_accuracy:.1%}")

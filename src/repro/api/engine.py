@@ -110,8 +110,8 @@ class Engine:
         # Per-request *execution* happens outside this lock, under the
         # session's own lock, so distinct splits run concurrently.
         self._lock = threading.RLock()
+        # corpus name -> (fingerprint, dataset)
         self._corpora: dict = {}
-        self._fingerprints: dict = {}
         self._sessions: OrderedDict = OrderedDict()
         self._session_meta: dict = {}
         self.attacks = 0
@@ -135,13 +135,12 @@ class Engine:
             if self.store is not None and self.store is not store:
                 raise ConfigError("engine already has a different state store")
             self.store = store
-            for name in sorted(self._corpora):
-                store.corpora.put(name, self._corpora[name], self._fingerprints[name])
+            for name, (fingerprint, dataset) in sorted(self._corpora.items()):
+                store.corpora.put(name, dataset, fingerprint)
             rehydrated = 0
             for name, fingerprint, dataset in store.corpora.load_all():
                 if name not in self._corpora:
-                    self._corpora[name] = dataset
-                    self._fingerprints[name] = fingerprint
+                    self._corpora[name] = (fingerprint, dataset)
                     rehydrated += 1
             return rehydrated
 
@@ -157,36 +156,16 @@ class Engine:
         with self._lock:
             if self.store is None:
                 return 0
-            stale = [
-                name
-                for name, fingerprint in (
-                    (entry["name"], entry["fingerprint"])
-                    for entry in self.store.corpora.list()
-                )
-                if self._fingerprints.get(name) != fingerprint
-            ]
             added = 0
-            for name in stale:
-                loaded = self.store.corpora.get(name)
-                if loaded is None:
+            for entry in self.store.corpora.list():
+                current = self._corpora.get(entry["name"])
+                if current is not None and current[0] == entry["fingerprint"]:
                     continue
-                fingerprint, dataset = loaded
-                self._corpora[name] = dataset
-                self._fingerprints[name] = fingerprint
-                added += 1
+                loaded = self.store.corpora.get(entry["name"])
+                if loaded is not None:
+                    self._corpora[entry["name"]] = loaded
+                    added += 1
             return added
-
-    def _note_tenant_use(self, tenant: str, key, reused: bool) -> None:
-        """Per-tenant accounting (caller holds the engine lock)."""
-        usage = self._tenant_usage.setdefault(
-            tenant, {"attacks": 0, "report_reuses": 0, "sessions": set()}
-        )
-        if reused:
-            usage["report_reuses"] += 1
-        else:
-            usage["attacks"] += 1
-        if key is not None:
-            usage["sessions"].add(key)
 
     # --- corpus registry ------------------------------------------------
 
@@ -201,8 +180,7 @@ class Engine:
             raise ConfigError("corpus name must be non-empty")
         fingerprint = dataset_fingerprint(dataset)
         with self._lock:
-            self._corpora[name] = dataset
-            self._fingerprints[name] = fingerprint
+            self._corpora[name] = (fingerprint, dataset)
             if self.store is not None:
                 self.store.corpora.put(name, dataset, fingerprint)
             return self.describe(name)
@@ -229,7 +207,8 @@ class Engine:
             name or f"{preset}-{users}-{seed}", generated.dataset
         )
 
-    def corpus(self, name: str) -> ForumDataset:
+    def _entry(self, name: str) -> tuple:
+        """The ``(fingerprint, dataset)`` registered under ``name``."""
         with self._lock:
             if name not in self._corpora:
                 raise ConfigError(
@@ -237,23 +216,23 @@ class Engine:
                 )
             return self._corpora[name]
 
+    def corpus(self, name: str) -> ForumDataset:
+        return self._entry(name)[1]
+
     def fingerprint(self, name: str) -> str:
         """The registered content fingerprint of corpus ``name``."""
-        with self._lock:
-            self.corpus(name)
-            return self._fingerprints[name]
+        return self._entry(name)[0]
 
     def describe(self, name: str) -> dict:
-        with self._lock:
-            dataset = self.corpus(name)
-            return {
-                "corpus": name,
-                "name": dataset.name,
-                "fingerprint": self._fingerprints[name],
-                "users": dataset.n_users,
-                "posts": dataset.n_posts,
-                "threads": dataset.n_threads,
-            }
+        fingerprint, dataset = self._entry(name)
+        return {
+            "corpus": name,
+            "name": dataset.name,
+            "fingerprint": fingerprint,
+            "users": dataset.n_users,
+            "posts": dataset.n_posts,
+            "threads": dataset.n_threads,
+        }
 
     @property
     def corpus_names(self) -> list:
@@ -270,22 +249,14 @@ class Engine:
         therefore one fit.
         """
         with self._lock:
-            dataset = self.corpus(request.corpus)
-            key = (self._fingerprints[request.corpus], request.split_key())
+            fingerprint, dataset = self._entry(request.corpus)
+            key = (fingerprint, request.split_key())
             session = self._sessions.get(key)
             if session is not None:
                 self.session_hits += 1
                 self._sessions.move_to_end(key)
                 return session
-            session = AttackSession.from_dataset(
-                dataset,
-                world=request.world,
-                aux_fraction=request.aux_fraction,
-                overlap_ratio=request.overlap_ratio,
-                split_seed=request.split_seed,
-                extractor=self.extractor,
-                extract_workers=request.extract_workers,
-            )
+            session = AttackSession.from_dataset(dataset, request, self.extractor)
             self._sessions[key] = session
             self._session_meta[key] = {
                 "corpus": request.corpus,
@@ -313,54 +284,64 @@ class Engine:
         if isinstance(request, dict):
             request = AttackRequest.from_dict(request)
         request.validate()
-        fingerprint = None
+        fingerprint = stored = None
         if self.store is not None:
             fingerprint = self.fingerprint(request.corpus)
             if self.store.persistent:
-                stored = self.store.reports.lookup(
-                    fingerprint, request, tenant=tenant
-                )
-                if stored is not None:
-                    with self._lock:
-                        self.attacks += 1
-                        self.report_reuses += 1
-                        key = (fingerprint, request.split_key())
-                        self._note_tenant_use(tenant, key, reused=True)
-                    self.store.bump_tenant(tenant, "attacks")
-                    return stored
+                stored = self.store.reports.lookup(fingerprint, request, tenant=tenant)
         with self._lock:
+            # counted before the run (even before the session opens), so a
+            # failed attack still counts
             self.attacks += 1
-            session = self.session_for(request)
-            self._note_tenant_use(
-                tenant,
-                (self._fingerprints[request.corpus], request.split_key()),
-                reused=False,
-            )
+            session = None if stored is not None else self.session_for(request)
+            self._note_use(tenant, request, reused=stored is not None)
         # run outside the engine lock: requests on *different* splits
         # proceed concurrently, same-split requests serialize on their
         # session's own lock
-        report = session.run(request)
-        if self.store is not None:
-            self.store.reports.record(report, fingerprint, tenant=tenant)
-            self.store.bump_tenant(tenant, "attacks")
-        self.enforce_cache_budget()
+        report = stored if stored is not None else session.run(request)
+        self._persist(report, fingerprint, tenant, fresh=stored is None)
+        if stored is None:
+            self.enforce_cache_budget()
         return report
 
-    def record_reports(self, reports, tenant: str = DEFAULT_TENANT) -> int:
-        """Persist already-computed reports (idempotent); returns new rows.
+    def record_reports(self, reports, tenant: str = DEFAULT_TENANT) -> None:
+        """Account reports computed in worker processes as :meth:`attack`
+        accounts a fresh run: count each attack, note the tenant's use,
+        then (with a store) record the report and bump the tenant's
+        durable ``attacks`` counter.
 
-        The process-backend sweep executor computes reports in worker
-        processes that have no store handle, so the parent records the
-        merged batch here.  No-op without a store.
+        The process-backend sweep executor calls this with the merged
+        batch, because its workers have no engine or store of their own.
         """
-        if self.store is None:
-            return 0
-        recorded = 0
+        with self._lock:
+            self.attacks += len(reports)
+            for report in reports:
+                self._note_use(tenant, report.request, reused=False)
         for report in reports:
             fingerprint = self.fingerprint(report.request.corpus)
-            if self.store.reports.record(report, fingerprint, tenant=tenant):
-                recorded += 1
-        return recorded
+            self._persist(report, fingerprint, tenant, fresh=True)
+
+    def _note_use(self, tenant: str, request: AttackRequest, reused: bool) -> None:
+        """Report-reuse and per-tenant accounting of one attack (caller
+        holds the engine lock)."""
+        usage = self._tenant_usage.setdefault(
+            tenant, {"attacks": 0, "report_reuses": 0, "sessions": set()}
+        )
+        if reused:
+            self.report_reuses += 1
+            usage["report_reuses"] += 1
+        else:
+            usage["attacks"] += 1
+        usage["sessions"].add((self._corpora[request.corpus][0], request.split_key()))
+
+    def _persist(self, report, fingerprint, tenant: str, fresh: bool) -> None:
+        """Record a fresh ``report``, then bump ``tenant``'s durable
+        ``attacks`` counter; no-op without a store."""
+        if self.store is None:
+            return
+        if fresh:
+            self.store.reports.record(report, fingerprint, tenant=tenant)
+        self.store.bump_tenant(tenant, "attacks")
 
     def sweep(
         self,
@@ -383,11 +364,6 @@ class Engine:
         return SweepExecutor(
             self, workers=parallel, backend=backend, tenant=tenant
         ).execute(requests)
-
-    def record_external_attacks(self, count: int) -> None:
-        """Fold attacks run outside this process (worker shards) into stats."""
-        with self._lock:
-            self.attacks += count
 
     # --- cache budget -----------------------------------------------------
 
@@ -420,30 +396,24 @@ class Engine:
         """
         if self.cache_budget_bytes is None:
             return 0
-        cleared = 0
         with self._lock:
             budget = self.cache_budget_bytes
+            caches = [
+                (session.cache_nbytes, session.drop_caches)
+                for session in self._sessions.values()
+            ]
             extraction = self._extraction_cache()
-            if (
-                extraction is not None
-                and extraction.nbytes() > budget
-                and self._cache_bytes_total() > budget
-            ):
-                extraction.clear()
-                cleared += 1
-            for session in list(self._sessions.values()):
+            if extraction is not None:
+                entry = (extraction.nbytes, extraction.clear)
+                first = [entry] if extraction.nbytes() > budget else []
+                caches = first + caches + [entry]
+            cleared = 0
+            for nbytes, clear in caches:
                 if self._cache_bytes_total() <= budget:
                     break
-                if session.cache_nbytes() > 0:
-                    session.drop_caches()
+                if nbytes() > 0:
+                    clear()
                     cleared += 1
-            if (
-                extraction is not None
-                and extraction.nbytes() > 0
-                and self._cache_bytes_total() > budget
-            ):
-                extraction.clear()
-                cleared += 1
             self.cache_budget_evictions += cleared
         return cleared
 

@@ -40,7 +40,7 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolE
 from repro.api.protocol import DEFAULT_TENANT, AttackReport, AttackRequest
 from repro.api.session import AttackSession
 from repro.errors import ConfigError
-from repro.utils.workers import available_workers
+from repro.utils.workers import clamp_workers
 
 #: Executor backends ``SweepExecutor`` accepts.  ``process`` gives true
 #: multi-core parallelism (one fitted session per worker process);
@@ -56,17 +56,13 @@ def resolve_workers(workers: "int | None") -> int:
     """Clamp a worker-count request to ``[1, MAX_WORKERS]``.
 
     ``None`` or 0 means "use every core the scheduler gives us"
-    (:func:`repro.utils.workers.available_workers`).
+    (:func:`repro.utils.workers.clamp_workers`); bad input is a
+    :class:`ConfigError`.
     """
-    if workers is None or workers == 0:
-        workers = available_workers()
     try:
-        workers = int(workers)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"workers must be an integer, got {workers!r}") from exc
-    if workers < 0:
-        raise ConfigError(f"workers must be >= 0, got {workers}")
-    return max(1, min(workers, MAX_WORKERS))
+        return clamp_workers(workers, MAX_WORKERS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # --- matrix specs -------------------------------------------------------
@@ -184,16 +180,7 @@ def _run_shard(dataset, request_payloads: list, extractor) -> list:
     back as wire dicts (cheap to pickle, schema-checked on merge).
     """
     requests = [AttackRequest.from_dict(p) for p in request_payloads]
-    first = requests[0]
-    session = AttackSession.from_dataset(
-        dataset,
-        world=first.world,
-        aux_fraction=first.aux_fraction,
-        overlap_ratio=first.overlap_ratio,
-        split_seed=first.split_seed,
-        extractor=extractor,
-        extract_workers=first.extract_workers,
-    )
+    session = AttackSession.from_dataset(dataset, requests[0], extractor)
     return [session.run(request).to_dict() for request in requests]
 
 
@@ -253,16 +240,12 @@ class SweepExecutor:
             AttackRequest.from_dict(r) if isinstance(r, dict) else r
             for r in requests
         ]
-        if not normalized:
-            return []
         # resolve every corpus up front — unknown names must fail before
         # any shard starts, not mid-sweep
-        fingerprints = {}
-        for request in normalized:
-            if request.corpus not in fingerprints:
-                fingerprints[request.corpus] = self.engine.fingerprint(
-                    request.corpus
-                )
+        fingerprints = {
+            corpus: self.engine.fingerprint(corpus)
+            for corpus in dict.fromkeys(request.corpus for request in normalized)
+        }
         return plan_shards(normalized, fingerprints)
 
     # -- execution -------------------------------------------------------
@@ -270,46 +253,44 @@ class SweepExecutor:
     def execute(self, requests) -> list:
         """Run the matrix; reports are merged back into input order."""
         shards = self.plan(requests)
-        if not shards:
-            return []
-        n_requests = sum(len(members) for _, members in shards)
-        if self.backend == "serial" or len(shards) == 1:
-            return self._execute_serial(shards, n_requests)
-        if self.backend == "thread":
-            return self._execute_pool(shards, n_requests, ThreadPoolExecutor)
-        return self._execute_pool(shards, n_requests, ProcessPoolExecutor)
-
-    def _execute_serial(self, shards, n_requests: int) -> list:
-        merged: list = [None] * n_requests
-        for _, members in shards:
-            for index, request in members:
-                merged[index] = self.engine.attack(request, tenant=self.tenant)
+        pooled = self.backend != "serial" and len(shards) > 1
+        if pooled:
+            results = self._run_pool(shards)
+        else:
+            results = [self._attack_shard(members) for _, members in shards]
+        merged: list = [None] * sum(len(members) for _, members in shards)
+        for (_, members), reports in zip(shards, results):
+            for (index, _), report in zip(members, reports):
+                merged[index] = report
+        if pooled and self.backend == "process":
+            # worker processes had no engine: account the merged batch (and
+            # persist it, with a store) from the parent
+            self.engine.record_reports(merged, tenant=self.tenant)
         return merged
 
-    def _shard_thread(self, members) -> list:
-        """Thread-backend shard: one engine session, run in input order."""
-        reports = []
-        for _, request in members:
-            reports.append(self.engine.attack(request, tenant=self.tenant))
-        return [report.to_dict() for report in reports]
+    def _attack_shard(self, members) -> list:
+        """One shard through the engine (one session), in input order."""
+        return [
+            self.engine.attack(request, tenant=self.tenant) for _, request in members
+        ]
 
-    def _execute_pool(self, shards, n_requests: int, pool_cls) -> list:
-        merged: list = [None] * n_requests
-        max_workers = min(self.workers, len(shards))
-        with pool_cls(max_workers=max_workers) as pool:
-            futures = {}
-            for key, members in shards:
-                if pool_cls is ThreadPoolExecutor:
-                    future = pool.submit(self._shard_thread, members)
-                else:
-                    dataset = self.engine.corpus(members[0][1].corpus)
-                    future = pool.submit(
+    def _run_pool(self, shards) -> list:
+        """Each shard's reports, run on a thread or process pool."""
+        process = self.backend == "process"
+        pool_cls = ProcessPoolExecutor if process else ThreadPoolExecutor
+        with pool_cls(max_workers=min(self.workers, len(shards))) as pool:
+            if process:
+                futures = [
+                    pool.submit(
                         _run_shard,
-                        dataset,
+                        self.engine.corpus(members[0][1].corpus),
                         [request.to_dict() for _, request in members],
                         self.engine.extractor,
                     )
-                futures[future] = members
+                    for _, members in shards
+                ]
+            else:
+                futures = [pool.submit(self._attack_shard, m) for _, m in shards]
             done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
             failure = next(
                 (f.exception() for f in done if f.exception() is not None), None
@@ -318,13 +299,10 @@ class SweepExecutor:
                 for future in not_done:
                     future.cancel()
                 raise failure
-            for future, members in futures.items():
-                payloads = future.result()
-                for (index, _), payload in zip(members, payloads):
-                    merged[index] = AttackReport.from_dict(payload)
-        if pool_cls is ProcessPoolExecutor:
-            self.engine.record_external_attacks(n_requests)
-            # worker processes had no store handle: persist the merged
-            # batch from the parent (idempotent; no-op without a store)
-            self.engine.record_reports(merged, tenant=self.tenant)
-        return merged
+            results = [future.result() for future in futures]
+        if process:
+            results = [
+                [AttackReport.from_dict(payload) for payload in payloads]
+                for payloads in results
+            ]
+        return results

@@ -105,31 +105,29 @@ class AttackSession:
     def from_dataset(
         cls,
         dataset: ForumDataset,
-        world: str = "closed",
-        aux_fraction: float = 0.5,
-        overlap_ratio: float = 0.5,
-        split_seed: int = 0,
+        request: AttackRequest,
         extractor: "FeatureExtractor | None" = None,
-        extract_workers: int = 1,
     ) -> "AttackSession":
-        """Split ``dataset`` per the spec and open a session over the split."""
-        if world == "closed":
+        """Split ``dataset`` as ``request`` names (its world, fraction and
+        split seed) and open a session over the split at the request's
+        ``extract_workers``."""
+        if request.world == "closed":
             split = closed_world_split(
-                dataset, aux_fraction=aux_fraction, seed=split_seed
+                dataset, aux_fraction=request.aux_fraction, seed=request.split_seed
             )
-            spec = ("closed", round(aux_fraction, 9), split_seed)
-        elif world == "open":
+        elif request.world == "open":
             split = open_world_split(
-                dataset, overlap_ratio=overlap_ratio, seed=split_seed
+                dataset, overlap_ratio=request.overlap_ratio, seed=request.split_seed
             )
-            spec = ("open", round(overlap_ratio, 9), split_seed)
         else:
-            raise ConfigError(f"world must be 'closed' or 'open', got {world!r}")
+            raise ConfigError(
+                f"world must be 'closed' or 'open', got {request.world!r}"
+            )
         return cls(
             split,
             extractor=extractor,
-            split_spec=spec,
-            extract_workers=extract_workers,
+            split_spec=request.split_key(),
+            extract_workers=request.extract_workers,
         )
 
     # --- cached artifacts ----------------------------------------------
@@ -164,17 +162,14 @@ class AttackSession:
 
     # --- execution ------------------------------------------------------
 
-    def _check_request(self, request: AttackRequest) -> None:
+    def run(self, request: AttackRequest) -> AttackReport:
+        """Execute one attack variant, reusing every cached artifact."""
         request.validate()
         if self.split_spec is not None and request.split_key() != self.split_spec:
             raise ConfigError(
                 f"request split {request.split_key()} does not match this "
                 f"session's split {self.split_spec}"
             )
-
-    def run(self, request: AttackRequest) -> AttackReport:
-        """Execute one attack variant, reusing every cached artifact."""
-        self._check_request(request)
         with self._lock:
             # the scope covers lock acquisition's successor stages only —
             # a request that waited out its whole deadline behind another
@@ -226,53 +221,21 @@ class AttackSession:
             reused_fit=reused,
         )
 
-    def sweep(self, requests) -> list:
-        """Run many variants in order; all expensive artifacts are shared.
-
-        The whole batch is validated before anything executes: a malformed
-        or wrong-split request anywhere in the batch raises
-        :class:`ConfigError` up front, instead of failing mid-sweep after
-        earlier reports (and their provenance) have already been produced
-        and are about to be thrown away.
-        """
-        requests = list(requests)
-        for request in requests:
-            self._check_request(request)
-        with self._lock:
-            reports = []
-            for request in requests:
-                # per-request scope: each variant gets its own budget, so
-                # one slow variant cannot eat the whole sweep's deadline
-                with deadline_scope(request.request_deadline_s):
-                    reports.append(self._run_checked(request))
-            return reports
-
     # --- introspection --------------------------------------------------
 
-    def clear_similarity_cache(self) -> int:
-        """Drop cached similarity artifacts (matrices, masks, pair scores).
-
-        Returns how many entries were dropped.  The UDA graphs and post
-        matrices stay; the next request rebuilds what it needs.
-        """
-        with self._lock:
-            return self._similarity_cache.clear()
+    def _post_matrix_caches(self) -> list:
+        """Every post-matrix cache, across both sides and flag values."""
+        return [
+            cache for caches in list(self._post_caches.values()) for cache in caches
+        ]
 
     def post_matrix_entries(self) -> int:
         """Cached per-user post matrices across both sides and flag values."""
-        return sum(
-            len(cache)
-            for caches in list(self._post_caches.values())
-            for cache in caches
-        )
+        return sum(len(cache) for cache in self._post_matrix_caches())
 
     def post_matrix_nbytes(self) -> int:
         """Bytes held by the refined phase's cached post matrices."""
-        return sum(
-            cache.nbytes_total
-            for caches in list(self._post_caches.values())
-            for cache in caches
-        )
+        return sum(cache.nbytes_total for cache in self._post_matrix_caches())
 
     def cache_nbytes(self) -> int:
         """Budget-accounted bytes: similarity cache + post matrices."""
@@ -290,10 +253,9 @@ class AttackSession:
         re-inserts its entries afterwards.
         """
         dropped = self._similarity_cache.clear()
-        for caches in list(self._post_caches.values()):
-            for cache in caches:
-                dropped += len(cache)
-                cache.clear()
+        for cache in self._post_matrix_caches():
+            dropped += len(cache)
+            cache.clear()
         return dropped
 
     def stats(self) -> dict:

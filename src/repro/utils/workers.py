@@ -27,12 +27,15 @@ def clamp_workers(workers: "int | None", cap: int) -> int:
     """Clamp a worker-count request to ``[1, cap]``.
 
     ``None`` or 0 means "one worker per available core".  Raises
-    ``TypeError``/``ValueError`` on non-integer input; callers wrap those
-    in their own error types.
+    ``ValueError`` on non-integer or negative input; callers wrap it in
+    their own error types.
     """
     if workers is None or workers == 0:
         workers = available_workers()
-    workers = int(workers)
+    try:
+        workers = int(workers)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"workers must be an integer, got {workers!r}") from exc
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return max(1, min(workers, cap))

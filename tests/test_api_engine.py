@@ -198,17 +198,11 @@ class TestSweepCaching:
             "landmark_closeness",
             counted("landmarks", similarity.landmark_closeness),
         )
-        session = AttackSession.from_dataset(
-            tiny_corpus, aux_fraction=0.5, split_seed=102
-        )
         base = _request(refined=False)
-        session.sweep(
-            [
-                base.variant(blocking=blocking, weights=weights)
-                for blocking in ("none", "lsh", "ann_graph", "union")
-                for weights in ((0.05, 0.05, 0.9), (0.2, 0.2, 0.6))
-            ]
-        )
+        session = AttackSession.from_dataset(tiny_corpus, base)
+        for blocking in ("none", "lsh", "ann_graph", "union"):
+            for weights in ((0.05, 0.05, 0.9), (0.2, 0.2, 0.6)):
+                session.run(base.variant(blocking=blocking, weights=weights))
         # one block; two graphs × hop/weighted closeness
         assert calls == {"attribute": 1, "landmarks": 4}
         builds = session.similarity_cache.builds
@@ -224,7 +218,7 @@ class TestSweepCaching:
         request = _request(refined=False)
         eng.attack(request)
         session = eng.session_for(request)
-        assert session.clear_similarity_cache() > 0
+        assert session.similarity_cache.clear() > 0
         assert eng.stats()["cache_bytes"] == 0
         eng.attack(request)  # rebuilds transparently
         assert eng.stats()["cache_bytes"] > 0
@@ -258,13 +252,11 @@ class TestSessionParity:
 
     def test_from_dataset_bad_world(self, tiny_corpus):
         with pytest.raises(ConfigError, match="world"):
-            AttackSession.from_dataset(tiny_corpus, world="flat")
+            AttackSession.from_dataset(tiny_corpus, AttackRequest(world="flat"))
 
     def test_split_provenance_enforced(self, tiny_corpus):
         """A session built from a known spec rejects mismatched requests."""
-        session = AttackSession.from_dataset(
-            tiny_corpus, world="closed", aux_fraction=0.5, split_seed=102
-        )
+        session = AttackSession.from_dataset(tiny_corpus, _request())
         with pytest.raises(ConfigError, match="does not match"):
             session.run(_request(aux_fraction=0.7))
         with pytest.raises(ConfigError, match="does not match"):
@@ -296,27 +288,6 @@ class TestSessionParity:
 
 
 class TestSweepBatchValidation:
-    def test_session_sweep_validates_batch_up_front(self, tiny_corpus):
-        """A mixed-split batch must raise before anything runs — previously
-        the mismatch raised mid-sweep and the earlier reports were lost."""
-        session = AttackSession.from_dataset(
-            tiny_corpus, world="closed", aux_fraction=0.5, split_seed=102
-        )
-        good = _request(refined=False)
-        bad = _request(refined=False, aux_fraction=0.7)  # different split
-        with pytest.raises(ConfigError, match="does not match"):
-            session.sweep([good, good, bad])
-        assert session.runs == 0
-        assert session.graph_builds == 0  # not even the fit started
-
-    def test_session_sweep_validates_knobs_up_front(self, tiny_split):
-        session = AttackSession(tiny_split)
-        with pytest.raises(ConfigError):
-            session.sweep(
-                [AttackRequest(refined=False, n_landmarks=5), AttackRequest(top_k=0)]
-            )
-        assert session.runs == 0
-
     def test_engine_sweep_validates_corpus_up_front(self, tiny_corpus):
         eng = Engine()
         eng.register("tiny", tiny_corpus)
@@ -324,16 +295,6 @@ class TestSweepBatchValidation:
             eng.sweep([_request(refined=False), _request(corpus="ghost")])
         assert eng.attacks == 0
         assert eng.stats()["sessions"] == []
-
-    def test_valid_sweep_still_runs(self, tiny_corpus):
-        session = AttackSession.from_dataset(
-            tiny_corpus, world="closed", aux_fraction=0.5, split_seed=102
-        )
-        reports = session.sweep(
-            [_request(refined=False), _request(refined=False, top_k=3, ks=(1, 3))]
-        )
-        assert len(reports) == 2
-        assert session.runs == 2
 
 
 class TestLinkage:
@@ -370,9 +331,7 @@ class TestPostMatrixAccounting:
         assert session["post_matrix_bytes"] == 0
 
     def test_drop_caches_clears_post_matrices(self, tiny_corpus):
-        session = AttackSession.from_dataset(
-            tiny_corpus, aux_fraction=0.5, split_seed=312
-        )
+        session = AttackSession.from_dataset(tiny_corpus, _request(split_seed=312))
         session.run(_request(split_seed=312))
         assert session.post_matrix_nbytes() > 0
         assert session.cache_nbytes() >= session.post_matrix_nbytes()

@@ -22,6 +22,7 @@ from repro.api import (
     resolve_workers,
 )
 from repro.errors import ConfigError
+from repro.store import StateStore
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +199,29 @@ class TestSweepExecutor:
         stats = eng.stats()
         assert len(stats["sessions"]) == 2
         assert all(s["graph_builds"] == 1 for s in stats["sessions"])
+
+    @pytest.mark.parametrize(
+        "parallel, backend", [(1, "serial"), (2, "thread"), (2, "process")]
+    )
+    def test_every_backend_accounts_tenant_attacks(
+        self, small_corpus, tmp_path, parallel, backend
+    ):
+        """Three variants on two splits count as three of the tenant's
+        attacks, in memory and in the store, on every backend."""
+        state = StateStore.at_dir(tmp_path)
+        try:
+            eng = Engine(store=state)
+            eng.register("small", small_corpus)
+            requests = [_request(), _request(top_k=5), _request(split_seed=8)]
+            eng.sweep(requests, parallel=parallel, backend=backend, tenant="acme")
+            assert state.tenant_counters()["acme"]["attacks"] == 3
+            stats = eng.stats()
+            assert stats["attacks"] == 3
+            assert stats["tenants"]["acme"]["attacks"] == 3
+            assert stats["tenants"]["acme"]["report_reuses"] == 0
+            assert len(state.reports.list(tenant="acme")) == 3
+        finally:
+            state.close()
 
     def test_canonical_json_drops_volatile_fields(self, engine):
         report = engine.attack(_request(top_k=5, ks=(1, 5)))
