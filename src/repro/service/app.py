@@ -96,6 +96,7 @@ from repro.api.engine import Engine
 from repro.api.executor import MAX_SWEEP_REQUESTS, MAX_WORKERS, expand_matrix
 from repro.api.protocol import DEFAULT_TENANT, AttackRequest
 from repro.errors import (
+    CircuitOpenError,
     ConfigError,
     DeadlineExceeded,
     NotFittedError,
@@ -534,8 +535,15 @@ class DeHealthApp:
         """
         fingerprints = sorted(set(self._fingerprints(requests)))
         self._charge(tenant, cost=float(len(requests)))
-        for fingerprint in fingerprints:
-            self.breaker.allow(fingerprint)
+        for index, fingerprint in enumerate(fingerprints):
+            try:
+                self.breaker.allow(fingerprint)
+            except CircuitOpenError:
+                # release any half-open probe this run took for an earlier
+                # corpus, or that corpus answers 503 until a restart
+                for allowed in fingerprints[:index]:
+                    self.breaker.abandon(allowed)
+                raise
         requests = [self._with_deadline(request) for request in requests]
         try:
             with self._admission():

@@ -483,6 +483,44 @@ class TestCircuitBreaker:
         assert len(stats["overload"]["breaker"]["open"]) == 1
         assert stats["overload"]["breaker"]["trips"] == 1
 
+    def test_sweep_refused_by_a_later_circuit_releases_earlier_probes(self):
+        """A sync sweep checks its corpora's breakers in fingerprint order;
+        when a later circuit is still open, the half-open probe already
+        taken for an earlier corpus must not stay in flight forever."""
+        engine = Engine()
+        engine.register("poison", poison_corpus("poison"))
+        engine.register("poison2", poison_corpus("poison2"))
+        application = create_app(
+            engine, job_workers=1, breaker_threshold=1, breaker_cooldown_s=10.0
+        )
+        clock = {"t": 0.0}
+        application.breaker._clock = lambda: clock["t"]
+        first, second = sorted(("poison", "poison2"), key=engine.fingerprint)
+        try:
+            for t, corpus in ((0.0, first), (5.0, second)):
+                clock["t"] = t
+                res = call_app(
+                    application, "POST", "/attack", {**ATTACK_BODY, "corpus": corpus}
+                )
+                assert res.status == 422
+            clock["t"] = 12.0  # first past its cooldown, second still open
+            sweep = {"requests": [
+                {**ATTACK_BODY, "corpus": first}, {**ATTACK_BODY, "corpus": second},
+            ]}
+            res = call_app(application, "POST", "/sweep", sweep)
+            assert res.status == 503
+            assert "circuit open" in res.json["error"]["message"]
+            for t in (1000.0, 1011.0):
+                # each cooldown later, one probe is admitted and fails on
+                # its merits (before the fix: a half-open 503, for good)
+                clock["t"] = t
+                res = call_app(
+                    application, "POST", "/attack", {**ATTACK_BODY, "corpus": first}
+                )
+                assert res.status == 422
+        finally:
+            application.close(drain_s=1.0)
+
     def test_deadline_expiry_never_trips_the_breaker(self, tiny_corpus):
         engine = Engine()
         engine.register("tiny", tiny_corpus)
